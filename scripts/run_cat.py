@@ -7,7 +7,9 @@ by alternating condensed evolution with subspace-swapping pulses.
 """
 
 import argparse
+import sys
 
+from iopsim.errors import IopsimError
 from iopsim.scenarios import cat
 
 
@@ -30,4 +32,7 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except IopsimError as exc:
+        sys.exit(f"error: {exc}")

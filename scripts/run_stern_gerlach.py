@@ -8,7 +8,9 @@ across the whole range.
 """
 
 import argparse
+import sys
 
+from iopsim.errors import IopsimError
 from iopsim.scenarios import stern_gerlach
 
 
@@ -38,4 +40,7 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except IopsimError as exc:
+        sys.exit(f"error: {exc}")

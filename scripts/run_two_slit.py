@@ -7,7 +7,10 @@ final step count.
 """
 
 import argparse
+import sys
 
+from iopsim.cli import parse_slits
+from iopsim.errors import IopsimError
 from iopsim.scenarios import two_slit
 
 
@@ -27,16 +30,14 @@ def ascii_plot(values, width=64, height=12, label=""):
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--grid", type=int, default=128)
-    ap.add_argument("--slits", default="40:44,84:88")
+    ap.add_argument("--slits", type=parse_slits, default="40:44,84:88")
     ap.add_argument("--steps", type=int, nargs="+", default=[10, 20, 40, 80])
     args = ap.parse_args()
-    slits = tuple(tuple(int(x) for x in chunk.split(":"))
-                  for chunk in args.slits.split(","))
 
     print(f"{'steps':>6}  {'coherent':>10}  {'incoherent':>10}  margin")
     last = None
     for steps in args.steps:
-        report = two_slit(grid_n=args.grid, slit_positions=slits, steps=steps)
+        report = two_slit(grid_n=args.grid, slit_positions=args.slits, steps=steps)
         ca = report.outputs["contrast_coherent"]
         cb = report.outputs["contrast_incoherent"]
         print(f"{steps:>6}  {ca:>10.5f}  {cb:>10.5f}  {ca - cb:+.5f}")
@@ -51,4 +52,7 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except IopsimError as exc:
+        sys.exit(f"error: {exc}")

@@ -19,15 +19,13 @@ import numpy as np
 from . import config, linalg, serialize
 from .errors import (
     BadParameter,
-    BadSlitGeometry,
     IopsimError,
     NotHermitian,
     NotPositive,
-    ParseError,
     TraceNotOne,
 )
 from .iop import validate
-from .scenarios import SCENARIOS, cat, spin_one_example, stern_gerlach, two_slit
+from .scenarios import SCENARIOS
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,7 +52,8 @@ def _parse_tols(pairs):
     return tols
 
 
-def _parse_slits(text):
+def parse_slits(text):
+    """Parse slit ranges "a:b,c:d" into ((a, b), (c, d))."""
     slits = []
     for chunk in text.split(","):
         a, sep, b = chunk.partition(":")
@@ -67,35 +66,50 @@ def _parse_slits(text):
     return tuple(slits)
 
 
+# Each scenario's own flags: flag -> (keyword of the scenario function,
+# argparse type, help).  Defaults are not restated here; an absent flag
+# leaves the function's default in force.
+FLAGS = {
+    "stern-gerlach": {
+        "--p-up": ("p_up_prior", float, "prior spin-up weight"),
+        "--mc-samples": ("mc_samples", int, "Monte-Carlo sample count"),
+        "--seed": ("seed", int, "sampling seed (falls back to $IOPSIM_SEED)"),
+    },
+    "cat": {
+        "--p-plus": ("p_plus", float, "weight of the '+' subspace"),
+        "--steps": ("steps", int, "number of evolution steps"),
+    },
+    "spin-one": {},
+    "two-slit": {
+        "--grid": ("grid_n", int, "number of grid sites"),
+        "--slits": ("slit_positions", parse_slits,
+                    "comma-separated site ranges a:b"),
+        "--steps": ("steps", int, "number of propagation steps"),
+        "--p-pass": ("p_pass", float, "prior passage probability"),
+    },
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="iopsim")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a scenario")
-    run.add_argument("scenario", choices=sorted(SCENARIOS))
-    run.add_argument("--seed", type=int,
-                     default=int(os.environ.get("IOPSIM_SEED", "0")))
-    run.add_argument("--hbar", type=float, default=1.0)
-    run.add_argument("--tol", action="append", metavar="NAME=VALUE",
-                     help="override a named check tolerance")
-    run.add_argument("--out", metavar="PATH", help="write the JSON report here")
-    run.add_argument("--json", action="store_true",
-                     help="print the full JSON report to stdout")
-    run.add_argument("--p-up", type=float, default=0.5,
-                     help="stern-gerlach: prior spin-up weight")
-    run.add_argument("--mc-samples", type=int, default=10000,
-                     help="stern-gerlach: Monte-Carlo sample count")
-    run.add_argument("--p-plus", type=float, default=0.3,
-                     help="cat: weight of the '+' subspace")
-    run.add_argument("--steps", type=int, default=None,
-                     help="cat / two-slit: number of evolution steps")
-    run.add_argument("--grid", type=int, default=128,
-                     help="two-slit: number of grid sites")
-    run.add_argument("--slits", default="40:44,84:88",
-                     help="two-slit: comma-separated index ranges a:b")
-    run.add_argument("--p-pass", type=float, default=None,
-                     help="two-slit: prior passage probability")
+    runs = run.add_subparsers(dest="scenario", required=True)
+    for name, flags in FLAGS.items():
+        p = runs.add_parser(name)
+        p.add_argument("--hbar", type=float, default=config.get_hbar())
+        p.add_argument("--tol", action="append", metavar="NAME=VALUE",
+                       help="override a named check tolerance")
+        p.add_argument("--out", metavar="PATH", help="write the JSON report here")
+        p.add_argument("--json", action="store_true",
+                       help="print the full JSON report to stdout")
+        for flag, (keyword, type_, help_) in flags.items():
+            # a string default goes through `type_` when the flag is absent
+            default = (os.environ.get("IOPSIM_SEED", argparse.SUPPRESS)
+                       if keyword == "seed" else argparse.SUPPRESS)
+            p.add_argument(flag, dest=keyword, type=type_, default=default,
+                           help=help_)
 
     val = sub.add_parser("validate", help="validate operator file")
     val.add_argument("path")
@@ -105,25 +119,12 @@ def build_parser() -> _Parser:
 
 
 def _run_scenario(args):
+    params = {keyword: getattr(args, keyword)
+              for keyword, _, _ in FLAGS[args.scenario].values()
+              if hasattr(args, keyword)}
     tols = _parse_tols(args.tol)
     with config.hbar(args.hbar):
-        if args.scenario == "stern-gerlach":
-            report = stern_gerlach(p_up_prior=args.p_up,
-                                   mc_samples=args.mc_samples,
-                                   seed=args.seed, tol_overrides=tols)
-        elif args.scenario == "cat":
-            report = cat(p_plus=args.p_plus,
-                         steps=args.steps if args.steps is not None else 20,
-                         tol_overrides=tols)
-        elif args.scenario == "spin-one":
-            report = spin_one_example(tol_overrides=tols)
-        else:
-            kwargs = {"grid_n": args.grid,
-                      "slit_positions": _parse_slits(args.slits),
-                      "p_pass": args.p_pass, "tol_overrides": tols}
-            if args.steps is not None:
-                kwargs["steps"] = args.steps
-            report = two_slit(**kwargs)
+        report = SCENARIOS[args.scenario](tol_overrides=tols, **params)
 
     text = serialize.dumps(report.to_json())
     if args.out:
@@ -146,31 +147,38 @@ def _validate_file(path):
     try:
         with open(path) as fh:
             payload = serialize.loads(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read {path}: {exc}", file=sys.stderr)
         return 1
     operators = payload if isinstance(payload, list) else [payload]
-    status = 0
+    malformed = invalid = False
     for i, obj in enumerate(operators):
-        m = serialize.matrix_from_json(obj)
-        herm = linalg.hermiticity_defect(m)
-        trace = float(np.trace(m).real)
         try:
+            m = serialize.matrix_from_json(obj)
             validate(m)
-            print(f"operator {i}: valid "
-                  f"(hermiticity residual {herm:.3e}, trace {trace:.12g})")
         except (NotHermitian, TraceNotOne, NotPositive) as exc:
+            trace = float(np.trace(m).real)
             min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
             print(f"operator {i}: invalid ({type(exc).__name__}): {exc}; "
-                  f"hermiticity residual {herm:.3e}, trace residual "
-                  f"{abs(trace - 1.0):.3e}, min eigenvalue {min_eig:.3e}")
-            status = 2
-    return status
+                  f"hermiticity residual {linalg.hermiticity_defect(m):.3e}, "
+                  f"trace residual {abs(trace - 1.0):.3e}, "
+                  f"min eigenvalue {min_eig:.3e}")
+            invalid = True
+        except IopsimError as exc:
+            # not a finite square matrix: report it and go on to the next
+            print(f"operator {i}: malformed ({type(exc).__name__}): {exc}")
+            malformed = True
+        else:
+            print(f"operator {i}: valid "
+                  f"(hermiticity residual {linalg.hermiticity_defect(m):.3e}, "
+                  f"trace {float(np.trace(m).real):.12g})")
+    return 1 if malformed else 2 if invalid else 0
 
 
 def _selftest():
     from . import composite, dynamics, measurement
-    from .iop import entropy, max_iop
+    from .ensembles import random_iop, random_unitary
+    from .iop import entropy
     rng = np.random.default_rng(12345)
     failures = []
 
@@ -179,21 +187,11 @@ def _selftest():
         if not ok:
             failures.append(name)
 
-    def random_iop(d):
-        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        m = a @ a.conj().T
-        return validate(m / np.trace(m).real)
-
-    def random_unitary(d):
-        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        q, r = np.linalg.qr(a)
-        return dynamics.UnitaryOp(dim=d, matrix=q * (np.diag(r) / np.abs(np.diag(r))))
-
     for d in (2, 3, 4, 8):
         worst_entropy = worst_trace = 0.0
         for _ in range(50):
-            rho = random_iop(d)
-            u = random_unitary(d)
+            rho = random_iop(rng, d)
+            u = random_unitary(rng, d)
             evolved = dynamics.evolve(rho, u)
             worst_entropy = max(worst_entropy,
                                 abs(entropy(evolved) - entropy(rho)))
@@ -203,7 +201,7 @@ def _selftest():
         check(f"dim {d}: evolution trace-preserving", worst_trace <= 1e-9)
         worst = 0.0
         for _ in range(20):
-            rho_s, rho_t = random_iop(d), random_iop(2)
+            rho_s, rho_t = random_iop(rng, d), random_iop(rng, 2)
             worst = max(worst, composite.entropy_additivity_defect(rho_s, rho_t))
         check(f"dim {d}: entropy additive over products", worst <= 1e-9)
         basis = np.eye(d, dtype=complex)
@@ -211,7 +209,7 @@ def _selftest():
             {k: np.outer(basis[:, k], basis[:, k].conj()) for k in range(d)})
         worst = 0.0
         for _ in range(20):
-            rho = random_iop(d)
+            rho = random_iop(rng, d)
             probs = measurement.outcome_probabilities(ms, rho)
             worst = max(worst, abs(sum(p for _, p in probs) - 1.0))
         check(f"dim {d}: projective probabilities normalized", worst <= 1e-9)
@@ -222,17 +220,15 @@ def _selftest():
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # inside the try: a type such as parse_slits raises BadParameter
+        args = parser.parse_args(argv)
         if args.command == "run":
             return _run_scenario(args)
         if args.command == "validate":
             return _validate_file(args.path)
         return _selftest()
-    except (BadParameter, BadSlitGeometry, ParseError) as exc:
-        print(f"iopsim: error: {exc}", file=sys.stderr)
-        return 1
-    except IopsimError as exc:
+    except (IopsimError, OSError) as exc:
         print(f"iopsim: error: {exc}", file=sys.stderr)
         return 1
 

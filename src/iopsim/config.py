@@ -6,7 +6,10 @@ in natural units by default (hbar = 1).
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
+
+from .errors import BadParameter
 
 _HBAR = 1.0
 
@@ -20,8 +23,8 @@ def get_hbar() -> float:
 
 def set_hbar(value: float) -> None:
     global _HBAR
-    if not value > 0:
-        raise ValueError(f"hbar must be positive, got {value}")
+    if not (value > 0 and math.isfinite(value)):
+        raise BadParameter(f"hbar must be positive and finite, got {value}")
     _HBAR = float(value)
 
 

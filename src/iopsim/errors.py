@@ -9,6 +9,10 @@ class DimensionMismatch(IopsimError):
     pass
 
 
+class NotFinite(IopsimError):
+    pass
+
+
 class NotHermitian(IopsimError):
     pass
 
@@ -58,10 +62,6 @@ class InsufficientPoints(IopsimError):
 
 
 class BadSlitGeometry(IopsimError):
-    pass
-
-
-class UnknownScenario(IopsimError):
     pass
 
 

@@ -23,7 +23,6 @@ from .errors import (
     TraceNotOne,
 )
 
-HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
 POSITIVITY_TOL = 1e-10
 SUPPORT_EIGENVALUE_FLOOR = 1e-10
@@ -63,7 +62,7 @@ def validate(m) -> InfoOperator:
     """
     a = linalg.as_cmatrix(m)
     d = linalg.require_square(a)
-    if linalg.hermiticity_defect(a) > HERM_TOL * max(1.0, float(np.linalg.norm(a))):
+    if not linalg.is_hermitian(a):
         raise NotHermitian(f"hermiticity defect {linalg.hermiticity_defect(a):.3e}")
     a = (a + a.conj().T) / 2
     tr = float(np.trace(a).real)

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import DIM_CAP, get_hbar
-from .errors import DimensionMismatch, NoConvergence, NotHermitian
+from .errors import DimensionMismatch, NoConvergence, NotFinite, NotHermitian
 
 HERMITICITY_TOL = 1e-10
 
@@ -34,7 +34,7 @@ def as_cmatrix(entries) -> np.ndarray:
     if max(a.shape) > DIM_CAP:
         raise DimensionMismatch(f"dimension {max(a.shape)} exceeds cap {DIM_CAP}")
     if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
-        raise ValueError("matrix contains NaN or Inf entries")
+        raise NotFinite("matrix contains NaN or Inf entries")
     return a
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import composite, condensation, dynamics, ivec, linalg, measurement
+from .config import DIM_CAP
 from .errors import BadParameter, BadSlitGeometry, SupportViolation
 from .iop import (
     InfoOperator,
@@ -151,6 +152,8 @@ def stern_gerlach(p_up_prior: float = 0.5, mc_samples: int = 10000,
     """
     if not 0.0 <= p_up_prior <= 1.0:
         raise BadParameter(f"p_up_prior must be in [0, 1], got {p_up_prior}")
+    if mc_samples < 1:
+        raise BadParameter(f"mc_samples must be positive, got {mc_samples}")
     ck = _Checks(STERN_TOLS, tol_overrides)
     report = ScenarioReport(
         scenario_name="stern-gerlach",
@@ -504,8 +507,10 @@ def two_slit(grid_n: int = 128, p_pass=None,
     same passage does not.  The continuity of the passed component across
     the screen is a modeling assumption, not a derived property.
     """
-    if grid_n < 16:
-        raise BadSlitGeometry(f"grid_n must be >= 16, got {grid_n}")
+    # the grid plus the absorbed flag dimension must fit under DIM_CAP; checked
+    # before the dense (grid_n + 1)^2 screen and Hamiltonian are allocated
+    if not 16 <= grid_n < DIM_CAP:
+        raise BadSlitGeometry(f"grid_n must be in [16, {DIM_CAP - 1}], got {grid_n}")
     slits = [(int(a), int(b)) for a, b in slit_positions]
     sites_seen = set()
     for a, b in slits:

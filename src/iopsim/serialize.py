@@ -29,6 +29,8 @@ def matrix_from_json(obj) -> np.ndarray:
     try:
         rows = int(obj["dim"])
         cols = int(obj.get("dim_cols", rows))
+        if rows < 1 or cols < 1:
+            raise ParseError(f"matrix dimensions must be positive, got {rows}x{cols}")
         entries = obj["entries"]
         if len(entries) != rows * cols:
             raise ParseError(

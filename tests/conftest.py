@@ -1,32 +1,13 @@
 import numpy as np
 import pytest
 
-from iopsim.dynamics import UnitaryOp
-from iopsim.iop import InfoOperator, validate
-
-
-def random_hermitian(rng, d):
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return (a + a.conj().T) / 2
-
-
-def random_iop(rng, d) -> InfoOperator:
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    m = a @ a.conj().T
-    return validate(m / np.trace(m).real)
-
-
-def random_unitary(rng, d) -> UnitaryOp:
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, r = np.linalg.qr(a)
-    q = q * (np.diag(r) / np.abs(np.diag(r)))
-    return UnitaryOp(dim=d, matrix=q)
-
-
-def random_pure(rng, d) -> InfoOperator:
-    v = rng.normal(size=d) + 1j * rng.normal(size=d)
-    v = v / np.linalg.norm(v)
-    return validate(np.outer(v, v.conj()))
+# the generators live in the library; tests import them from here
+from iopsim.ensembles import (  # noqa: F401
+    random_hermitian,
+    random_iop,
+    random_pure,
+    random_unitary,
+)
 
 
 @pytest.fixture

@@ -1,10 +1,17 @@
+import inspect
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from iopsim.cli import main
+from iopsim.cli import FLAGS, main
+from iopsim.scenarios import SCENARIOS
 from iopsim.serialize import dumps, matrix_to_json
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run_cli(argv):
@@ -72,6 +79,76 @@ class TestRun:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestRegistry:
+    def test_flags_cover_every_scenario(self):
+        assert FLAGS.keys() == SCENARIOS.keys()
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_keywords_are_parameters(self, name):
+        params = inspect.signature(SCENARIOS[name]).parameters
+        for keyword, _, _ in FLAGS[name].values():
+            assert keyword in params
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_defaults_are_the_function_defaults(self, name, tmp_path,
+                                                monkeypatch):
+        monkeypatch.delenv("IOPSIM_SEED", raising=False)
+        path = tmp_path / "report.json"
+        assert run_cli(["run", name, "--out", str(path)]) == 0
+        assert path.read_text() == dumps(SCENARIOS[name]().to_json())
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "cat", "--p-up", "0.9"],
+        ["run", "spin-one", "--grid", "64"],
+        ["run", "stern-gerlach", "--slits", "1:2"],
+        ["run", "two-slit", "--mc-samples", "10"],
+    ])
+    def test_foreign_flag_exits_one(self, argv, capsys):
+        assert run_cli(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestErrorContract:
+    NAN_FILE = '[{"dim": 1, "entries": [[NaN, 0.0]]}]'
+
+    @pytest.mark.parametrize("argv, env, text, message", [
+        (["run", "stern-gerlach", "--mc-samples", "0"], None, None,
+         "mc_samples must be positive"),
+        (["run", "cat", "--hbar", "0"], None, None,
+         "hbar must be positive"),
+        (["run", "stern-gerlach"], "abc", None,
+         "invalid int value: 'abc'"),
+        (["run", "two-slit", "--slits", "40-44"], None, None,
+         "slit range must be a:b"),
+        (["run", "two-slit", "--grid", "4096"], None, None,
+         "grid_n must be in [16, 4095]"),
+        (["validate"], None, NAN_FILE,
+         "operator 0: malformed (NotFinite)"),
+    ], ids=["mc-samples-0", "hbar-0", "seed-env-abc", "slits-40-44",
+            "grid-over-cap", "validate-nan"])
+    def test_exits_one_with_message(self, argv, env, text, message, tmp_path,
+                                    monkeypatch, capsys):
+        if env is not None:
+            monkeypatch.setenv("IOPSIM_SEED", env)
+        if text is not None:
+            path = tmp_path / "ops.json"
+            path.write_text(text)
+            argv = argv + [str(path)]
+        assert run_cli(argv) == 1
+        captured = capsys.readouterr()
+        assert message in (captured.out + captured.err).splitlines()[-1]
+
+    def test_script_bad_slits_exits_one(self):
+        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+        proc = subprocess.run(
+            [sys.executable, os.path.join(ROOT, "scripts", "run_two_slit.py"),
+             "--slits", "40-44"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.strip() == "error: slit range must be a:b, got '40-44'"
+
+
 class TestUsageErrors:
     def test_no_command(self, capsys):
         assert run_cli([]) == 1
@@ -104,6 +181,17 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "operator 0: valid" in out
         assert "operator 1: invalid" in out
+
+    def test_malformed_object_reported_in_place(self, tmp_path, capsys):
+        path = tmp_path / "ops.json"
+        path.write_text(dumps([matrix_to_json(np.eye(2) / 2),
+                               {"dim": 2, "entries": [[1.0, 0.0]]},
+                               matrix_to_json(np.eye(3) / 3)]))
+        assert run_cli(["validate", str(path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("operator 0: valid")
+        assert lines[1].startswith("operator 1: malformed (ParseError)")
+        assert lines[2].startswith("operator 2: valid")
 
     def test_missing_file(self, capsys):
         assert run_cli(["validate", "/no/such/file.json"]) == 1
