@@ -11,6 +11,7 @@ Exit codes: 0 all checks pass, 1 usage/config error, 2 check failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -90,7 +91,13 @@ FLAGS = {
 }
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser tree, built once per process.
+
+    It holds no call-time state: `--hbar` and `--seed` default to absent,
+    and `_run_scenario` resolves them on every call.
+    """
     parser = _Parser(prog="iopsim")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -98,18 +105,15 @@ def build_parser() -> _Parser:
     runs = run.add_subparsers(dest="scenario", required=True)
     for name, flags in FLAGS.items():
         p = runs.add_parser(name)
-        p.add_argument("--hbar", type=float, default=config.get_hbar())
+        p.add_argument("--hbar", type=float, default=None)
         p.add_argument("--tol", action="append", metavar="NAME=VALUE",
                        help="override a named check tolerance")
         p.add_argument("--out", metavar="PATH", help="write the JSON report here")
         p.add_argument("--json", action="store_true",
                        help="print the full JSON report to stdout")
         for flag, (keyword, type_, help_) in flags.items():
-            # a string default goes through `type_` when the flag is absent
-            default = (os.environ.get("IOPSIM_SEED", argparse.SUPPRESS)
-                       if keyword == "seed" else argparse.SUPPRESS)
-            p.add_argument(flag, dest=keyword, type=type_, default=default,
-                           help=help_)
+            p.add_argument(flag, dest=keyword, type=type_,
+                           default=argparse.SUPPRESS, help=help_)
 
     val = sub.add_parser("validate", help="validate operator file")
     val.add_argument("path")
@@ -122,8 +126,17 @@ def _run_scenario(args):
     params = {keyword: getattr(args, keyword)
               for keyword, _, _ in FLAGS[args.scenario].values()
               if hasattr(args, keyword)}
+    env_seed = os.environ.get("IOPSIM_SEED")
+    if (env_seed is not None and "--seed" in FLAGS[args.scenario]
+            and "seed" not in params):
+        try:
+            params["seed"] = int(env_seed)
+        except ValueError:
+            raise BadParameter(
+                f"IOPSIM_SEED: invalid int value: {env_seed!r}") from None
     tols = _parse_tols(args.tol)
-    with config.hbar(args.hbar):
+    hbar = config.get_hbar() if args.hbar is None else args.hbar
+    with config.hbar(hbar):
         report = SCENARIOS[args.scenario](tol_overrides=tols, **params)
 
     text = serialize.dumps(report.to_json())
@@ -219,10 +232,9 @@ def _selftest():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
         # inside the try: a type such as parse_slits raises BadParameter
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         if args.command == "run":
             return _run_scenario(args)
         if args.command == "validate":

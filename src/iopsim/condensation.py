@@ -9,7 +9,7 @@ a label projects and renormalizes into that subspace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
@@ -31,6 +31,10 @@ class CondensationStructure:
     labels: tuple
     projectors: tuple   # of read-only complex arrays
     period: tuple       # (tau1, tau2)
+    # Orthonormal basis whose consecutive column groups, of ranks[i]
+    # columns, span the subspaces in label order; derived, never passed.
+    basis: np.ndarray = field(init=False, compare=False, repr=False)
+    ranks: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         labels = tuple(self.labels)
@@ -57,9 +61,16 @@ class CondensationStructure:
             raise ValueError("projectors must sum to identity")
         for p in projs:
             p.setflags(write=False)
+        # sum_i i P_i has eigenvalue i exactly on subspace i, so one eigh
+        # sorts an eigenbasis into the subspaces in label order
+        w, basis = np.linalg.eigh(sum(i * p for i, p in enumerate(projs)))
+        ranks = np.bincount(np.rint(w).astype(int), minlength=len(projs))
+        basis.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "projectors", projs)
         object.__setattr__(self, "period", (tau1, tau2))
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "ranks", tuple(int(r) for r in ranks))
 
     @classmethod
     def from_index_blocks(cls, dim, blocks, period=(0.0, 1.0)):
@@ -113,12 +124,14 @@ def _check_dims(rho: InfoOperator, c: CondensationStructure):
 def label_probabilities(rho: InfoOperator, c: CondensationStructure):
     """tr(P^m rho P^m) per label.
 
-    The values sum to 1 whenever rho has no inter-subspace coherences; the
-    raw traces are returned regardless.
+    The projectors are complete, so the values always sum to tr rho = 1,
+    inter-subspace coherences or not.  Each is computed as the O(d^2) inner
+    product <P^m, rho> = tr(P^m rho), equal to tr(P^m rho P^m) because
+    P^m is a Hermitian idempotent.
     """
     _check_dims(rho, c)
     return [
-        (m, float(np.trace(p @ rho.matrix @ p).real))
+        (m, float(np.vdot(p, rho.matrix).real))
         for m, p in zip(c.labels, c.projectors)
     ]
 
@@ -151,6 +164,22 @@ def is_condensed_form(rho: InfoOperator, c: CondensationStructure,
     return float(np.linalg.norm(rho.matrix - total)) <= tol
 
 
+def _coupling(u: UnitaryOp, c: CondensationStructure) -> np.ndarray:
+    """k x k matrix of ||P^i U P^j||_F over the k subspaces of c.
+
+    With B the structure's block basis, P^i U P^j = B_i (B_i^dag U B_j)
+    B_j^dag, and the isometries keep the Frobenius norm, so each entry is
+    the norm of one block of W = B^dag U B: two products in all, instead
+    of two for every pair of subspaces.
+    """
+    if u.dim != c.dim:
+        raise DimensionMismatch(f"unitary dim {u.dim} != structure dim {c.dim}")
+    w = c.basis.conj().T @ u.matrix @ c.basis
+    # member[a, i] = 1 iff basis column a lies in subspace i
+    member = np.repeat(np.eye(len(c.ranks)), c.ranks, axis=0)
+    return np.sqrt(member.T @ (w.real ** 2 + w.imag ** 2) @ member)
+
+
 def respects_condensation(u: UnitaryOp, c: CondensationStructure,
                           tol: float = BLOCK_TOL) -> bool:
     """True iff u never couples distinct subspaces (block-diagonal).
@@ -158,13 +187,9 @@ def respects_condensation(u: UnitaryOp, c: CondensationStructure,
     Under this criterion the label probabilities are invariants of the
     evolution.
     """
-    if u.dim != c.dim:
-        raise DimensionMismatch(f"unitary dim {u.dim} != structure dim {c.dim}")
-    for i, p in enumerate(c.projectors):
-        for j, q in enumerate(c.projectors):
-            if i != j and np.linalg.norm(p @ u.matrix @ q) > tol:
-                return False
-    return True
+    coupling = _coupling(u, c)
+    np.fill_diagonal(coupling, 0.0)
+    return not np.any(coupling > tol)
 
 
 def finest_respected_structure(u: UnitaryOp, candidate: CondensationStructure,
@@ -174,15 +199,10 @@ def finest_respected_structure(u: UnitaryOp, candidate: CondensationStructure,
     Candidate blocks m, n are merged whenever ||P^m U P^n|| exceeds the
     threshold; merging follows connected components of that coupling graph.
     """
-    if u.dim != candidate.dim:
-        raise DimensionMismatch(f"unitary dim {u.dim} != structure dim {candidate.dim}")
     k = len(candidate.projectors)
-    adj = np.zeros((k, k), dtype=bool)
-    for i, p in enumerate(candidate.projectors):
-        for j, q in enumerate(candidate.projectors):
-            if i != j and np.linalg.norm(p @ u.matrix @ q) > threshold:
-                adj[i, j] = adj[j, i] = True
-    n_comp, comp = connected_components(adj, directed=False)
+    # self-loops on the diagonal leave the components unchanged
+    n_comp, comp = connected_components(_coupling(u, candidate) > threshold,
+                                        directed=False)
     labels, projs = [], []
     for g in range(n_comp):
         members = [i for i in range(k) if comp[i] == g]

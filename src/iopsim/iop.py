@@ -131,11 +131,6 @@ def contraction_from_max(target: InfoOperator) -> Contraction:
     return Contraction(k=k, source_dim=d, target_dim=d)
 
 
-def _support_basis(rho: InfoOperator) -> np.ndarray:
-    w, v = rho.eig()
-    return v[:, w > SUPPORT_EIGENVALUE_FLOOR]
-
-
 def contraction_from_mixture(whole: InfoOperator, part: InfoOperator) -> Contraction:
     """K mapping a mixture to one of its components.
 
@@ -147,7 +142,9 @@ def contraction_from_mixture(whole: InfoOperator, part: InfoOperator) -> Contrac
     """
     if whole.dim != part.dim:
         raise DimensionMismatch(f"dims differ: {whole.dim} vs {part.dim}")
-    sup = _support_basis(whole)
+    ww, wv = whole.eig()
+    ok = ww > SUPPORT_EIGENVALUE_FLOOR
+    sup = wv[:, ok]
     pw, pv = part.eig()
     for i in range(part.dim):
         if pw[i] <= SUPPORT_EIGENVALUE_FLOOR:
@@ -159,9 +156,7 @@ def contraction_from_mixture(whole: InfoOperator, part: InfoOperator) -> Contrac
                 f"part eigenvector {i} lies outside the mixture's support "
                 f"(residual {residual:.3e})"
             )
-    ww, wv = whole.eig()
     ratios = np.zeros(whole.dim)
-    ok = ww > SUPPORT_EIGENVALUE_FLOOR
     ratios[ok] = np.clip(pw[ok], 0.0, None) / ww[ok]
     k = (pv * np.sqrt(ratios)) @ wv.conj().T
     return Contraction(k=k, source_dim=whole.dim, target_dim=whole.dim)

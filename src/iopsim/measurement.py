@@ -103,11 +103,15 @@ def is_definitive(ms: MeasurementSystem, tol: float = COMPLETENESS_TOL) -> bool:
 
 
 def outcome_probabilities(ms: MeasurementSystem, rho: InfoOperator):
-    """tr(M^m rho (M^m)^dag) per label; sums to 1 for definitive systems."""
+    """tr(M^m rho (M^m)^dag) per label; sums to 1 for definitive systems.
+
+    Each is the inner product <M^m, M^m rho>, which equals that trace with
+    one matrix product instead of two.
+    """
     if rho.dim != ms.dim_s:
         raise DimensionMismatch(f"operator dim {rho.dim} != system dim {ms.dim_s}")
     return [
-        (m, float(np.trace(k @ rho.matrix @ k.conj().T).real))
+        (m, float(np.vdot(k, k @ rho.matrix).real))
         for m, k in zip(ms.labels, ms.kraus)
     ]
 

@@ -154,6 +154,12 @@ def stern_gerlach(p_up_prior: float = 0.5, mc_samples: int = 10000,
         raise BadParameter(f"p_up_prior must be in [0, 1], got {p_up_prior}")
     if mc_samples < 1:
         raise BadParameter(f"mc_samples must be positive, got {mc_samples}")
+    if mc_samples > np.iinfo(np.int64).max:
+        # the multinomial draw takes its count as an int64
+        raise BadParameter(f"mc_samples must be at most "
+                           f"{np.iinfo(np.int64).max}, got {mc_samples}")
+    if seed < 0:
+        raise BadParameter(f"seed must be nonnegative, got {seed}")
     ck = _Checks(STERN_TOLS, tol_overrides)
     report = ScenarioReport(
         scenario_name="stern-gerlach",

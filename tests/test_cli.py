@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from iopsim import config
 from iopsim.cli import FLAGS, main
 from iopsim.scenarios import SCENARIOS
 from iopsim.serialize import dumps, matrix_to_json
@@ -79,6 +80,32 @@ class TestRun:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestCallTimeDefaults:
+    """The parser is built once; its call-time defaults are read per call."""
+
+    def test_env_seed_set_after_first_call(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("IOPSIM_SEED", raising=False)
+        base = ["run", "stern-gerlach", "--mc-samples", "2000"]
+        unset, env, flag = (tmp_path / n for n in ("a.json", "b.json", "c.json"))
+        assert run_cli(base + ["--out", str(unset)]) == 0
+        monkeypatch.setenv("IOPSIM_SEED", "7")
+        assert run_cli(base + ["--out", str(env)]) == 0
+        monkeypatch.delenv("IOPSIM_SEED")
+        assert run_cli(base + ["--seed", "7", "--out", str(flag)]) == 0
+        assert env.read_bytes() == flag.read_bytes()
+        assert env.read_bytes() != unset.read_bytes()
+
+    def test_hbar_set_after_first_call(self, tmp_path):
+        default, ambient, flag = (tmp_path / n for n in ("a.json", "b.json",
+                                                          "c.json"))
+        assert run_cli(["run", "cat", "--out", str(default)]) == 0
+        with config.hbar(2.5):
+            assert run_cli(["run", "cat", "--out", str(ambient)]) == 0
+        assert run_cli(["run", "cat", "--hbar", "2.5", "--out", str(flag)]) == 0
+        assert ambient.read_bytes() == flag.read_bytes()
+        assert ambient.read_bytes() != default.read_bytes()
+
+
 class TestRegistry:
     def test_flags_cover_every_scenario(self):
         assert FLAGS.keys() == SCENARIOS.keys()
@@ -124,8 +151,13 @@ class TestErrorContract:
          "grid_n must be in [16, 4095]"),
         (["validate"], None, NAN_FILE,
          "operator 0: malformed (NotFinite)"),
+        (["run", "stern-gerlach", "--mc-samples", "100000000000000000000"],
+         None, None, "mc_samples must be at most 9223372036854775807"),
+        (["run", "stern-gerlach", "--seed", "-1"], None, None,
+         "seed must be nonnegative"),
     ], ids=["mc-samples-0", "hbar-0", "seed-env-abc", "slits-40-44",
-            "grid-over-cap", "validate-nan"])
+            "grid-over-cap", "validate-nan", "mc-samples-over-int64",
+            "seed-negative"])
     def test_exits_one_with_message(self, argv, env, text, message, tmp_path,
                                     monkeypatch, capsys):
         if env is not None:

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+
+from scipy.sparse.csgraph import connected_components
 
 from iopsim import linalg
 from iopsim.condensation import (
+    BLOCK_TOL,
     CondensationStructure,
+    _coupling,
     block_projected,
     condition_on_label,
     finest_respected_structure,
@@ -57,7 +61,111 @@ class TestStructureValidation:
             np.testing.assert_allclose(p, q)
 
 
+def rotated_structure(rng, ranks):
+    """Structure on the column groups of a Haar unitary: not index blocks."""
+    v = random_unitary(rng, sum(ranks)).matrix
+    edges = np.cumsum([0, *ranks])
+    projectors = tuple(v[:, a:b] @ v[:, a:b].conj().T
+                       for a, b in zip(edges[:-1], edges[1:]))
+    structure = CondensationStructure(
+        dim=sum(ranks), labels=tuple(f"b{i}" for i in range(len(ranks))),
+        projectors=projectors, period=(0.0, 1.0))
+    return structure, v, edges
+
+
+def sandwich_coupling(u, c):
+    """Oracle for _coupling: the dense ||P^i U P^j||_F loop."""
+    return np.array([[np.linalg.norm(p @ u.matrix @ q) for q in c.projectors]
+                     for p in c.projectors])
+
+
+def sandwich_finest(u, c, threshold=BLOCK_TOL):
+    """Oracle for finest_respected_structure: (labels, projectors)."""
+    k = len(c.projectors)
+    adj = np.zeros((k, k), dtype=bool)
+    for i, p in enumerate(c.projectors):
+        for j, q in enumerate(c.projectors):
+            if i != j and np.linalg.norm(p @ u.matrix @ q) > threshold:
+                adj[i, j] = adj[j, i] = True
+    n_comp, comp = connected_components(adj, directed=False)
+    groups = [[i for i in range(k) if comp[i] == g] for g in range(n_comp)]
+    return (tuple("+".join(str(c.labels[i]) for i in g) for g in groups),
+            [sum(c.projectors[i] for i in g) for g in groups])
+
+
+ranks_strategy = st.lists(st.integers(0, 3), min_size=1, max_size=4).filter(
+    lambda ranks: sum(ranks) >= 1)
+
+
+class TestBlockBasis:
+    """The block-basis paths against their dense sandwich oracles."""
+
+    def test_basis_spans_the_subspaces(self, rng):
+        c, _, _ = rotated_structure(rng, [2, 0, 3, 1])
+        assert c.ranks == (2, 0, 3, 1)
+        b = c.basis
+        np.testing.assert_allclose(b.conj().T @ b, np.eye(6), atol=1e-12)
+        edges = np.cumsum([0, *c.ranks])
+        for p, a, z in zip(c.projectors, edges[:-1], edges[1:]):
+            np.testing.assert_allclose(b[:, a:z] @ b[:, a:z].conj().T, p,
+                                       atol=1e-12)
+
+    @given(seed=st.integers(0, 2**32 - 1), ranks=ranks_strategy)
+    @settings(max_examples=60, deadline=None)
+    def test_coupling_matches_sandwich(self, seed, ranks):
+        rng = np.random.default_rng(seed)
+        c, _, _ = rotated_structure(rng, ranks)
+        u = random_unitary(rng, c.dim)
+        np.testing.assert_allclose(_coupling(u, c), sandwich_coupling(u, c),
+                                   rtol=0, atol=1e-12)
+
+    @given(seed=st.integers(0, 2**32 - 1), ranks=ranks_strategy,
+           groups=st.lists(st.integers(0, 2), min_size=4, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_decisions_match_sandwich(self, seed, ranks, groups):
+        # U is block-diagonal over unions of subspaces: blocks in one group
+        # are coupled, blocks in different groups are not
+        rng = np.random.default_rng(seed)
+        c, v, edges = rotated_structure(rng, ranks)
+        groups = groups[:len(ranks)]
+        inner = np.zeros((c.dim, c.dim), dtype=complex)
+        for g in set(groups):
+            cols = np.concatenate([np.arange(edges[i], edges[i + 1])
+                                   for i, h in enumerate(groups) if h == g])
+            if cols.size:
+                inner[np.ix_(cols, cols)] = random_unitary(rng, cols.size).matrix
+        u = UnitaryOp(dim=c.dim, matrix=v @ inner @ v.conj().T)
+        oracle = sandwich_coupling(u, c)
+        off = oracle[~np.eye(len(ranks), dtype=bool)]
+        # keep every coupling well away from the threshold
+        assume(np.all((off < BLOCK_TOL / 1000) | (off > BLOCK_TOL * 1000)))
+        assert respects_condensation(u, c) == bool(np.all(off <= BLOCK_TOL))
+        finest = finest_respected_structure(u, c)
+        labels, projectors = sandwich_finest(u, c)
+        assert finest.labels == labels
+        for p, q in zip(finest.projectors, projectors):
+            np.testing.assert_allclose(p, q, atol=1e-12)
+
+    @given(seed=st.integers(0, 2**32 - 1), ranks=ranks_strategy)
+    @settings(max_examples=60, deadline=None)
+    def test_label_probabilities_match_sandwich(self, seed, ranks):
+        rng = np.random.default_rng(seed)
+        c, _, _ = rotated_structure(rng, ranks)
+        rho = random_iop(rng, c.dim)
+        got = dict(label_probabilities(rho, c))
+        for m, p in zip(c.labels, c.projectors):
+            assert abs(got[m] - np.trace(p @ rho.matrix @ p).real) <= 1e-12
+
+
 class TestLabelProbabilities:
+    def test_coherent_operator_sums_to_one(self, structure):
+        # inter-subspace coherences do not change the sum: tr rho = 1
+        rho = pure_iop([1, 0, 1, 0])
+        assert not is_condensed_form(rho, structure)
+        probs = dict(label_probabilities(rho, structure))
+        assert abs(sum(probs.values()) - 1.0) <= 1e-12
+        assert np.isclose(probs["+"], 0.5)
+
     def test_mixture_weights(self, structure):
         rho_plus = pure_iop([1, 1, 0, 0])
         rho_minus = pure_iop([0, 0, 1, 1])

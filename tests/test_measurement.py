@@ -87,6 +87,26 @@ class TestOutcomeProbabilities:
         assert abs(total - 1.0) <= 1e-9
         assert all(v >= -1e-12 for _, v in probs)
 
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6),
+           n=st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_sandwich_trace(self, seed, d, n):
+        # oracle: tr(M rho M^dag) on the non-projective square-root family
+        # of a random mixture, evaluated on an unrelated operator
+        rng = np.random.default_rng(seed)
+        comps = [random_iop(rng, d) for _ in range(n)]
+        weights = rng.dirichlet(np.ones(n))
+        whole = validate(sum(w * c.matrix for w, c in zip(weights, comps)))
+        branches = [
+            Branch(label=str(i), weight=float(w), rho_s=c, rho_t=c, residual=0.0)
+            for i, (w, c) in enumerate(zip(weights, comps))
+        ]
+        ms = kraus_from_branches(branches, whole)
+        rho = random_iop(rng, d)
+        got = dict(outcome_probabilities(ms, rho))
+        for m, k in zip(ms.labels, ms.kraus):
+            assert abs(got[m] - np.trace(k @ rho.matrix @ k.conj().T).real) <= 1e-12
+
 
 class TestPostMeasurement:
     def test_projects_to_eigenstate(self, z_system):
