@@ -171,7 +171,7 @@ def _validate_file(path):
             validate(m)
         except (NotHermitian, TraceNotOne, NotPositive) as exc:
             trace = float(np.trace(m).real)
-            min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
+            min_eig = float(linalg.eigh((m + m.conj().T) / 2, vectors=False)[0])
             print(f"operator {i}: invalid ({type(exc).__name__}): {exc}; "
                   f"hermiticity residual {linalg.hermiticity_defect(m):.3e}, "
                   f"trace residual {abs(trace - 1.0):.3e}, "

@@ -63,7 +63,7 @@ class CondensationStructure:
             p.setflags(write=False)
         # sum_i i P_i has eigenvalue i exactly on subspace i, so one eigh
         # sorts an eigenbasis into the subspaces in label order
-        w, basis = np.linalg.eigh(sum(i * p for i, p in enumerate(projs)))
+        w, basis = linalg.eigh(sum(i * p for i, p in enumerate(projs)))
         ranks = np.bincount(np.rint(w).astype(int), minlength=len(projs))
         basis.setflags(write=False)
         object.__setattr__(self, "labels", labels)
@@ -157,11 +157,10 @@ def block_projected(rho: InfoOperator, c: CondensationStructure) -> InfoOperator
     return validate(total)
 
 
-def is_condensed_form(rho: InfoOperator, c: CondensationStructure,
-                      tol: float = CONDENSED_TOL) -> bool:
+def is_condensed_form(rho: InfoOperator, c: CondensationStructure) -> bool:
     _check_dims(rho, c)
     total = sum(p @ rho.matrix @ p for p in c.projectors)
-    return float(np.linalg.norm(rho.matrix - total)) <= tol
+    return float(np.linalg.norm(rho.matrix - total)) <= CONDENSED_TOL
 
 
 def _coupling(u: UnitaryOp, c: CondensationStructure) -> np.ndarray:
@@ -180,8 +179,7 @@ def _coupling(u: UnitaryOp, c: CondensationStructure) -> np.ndarray:
     return np.sqrt(member.T @ (w.real ** 2 + w.imag ** 2) @ member)
 
 
-def respects_condensation(u: UnitaryOp, c: CondensationStructure,
-                          tol: float = BLOCK_TOL) -> bool:
+def respects_condensation(u: UnitaryOp, c: CondensationStructure) -> bool:
     """True iff u never couples distinct subspaces (block-diagonal).
 
     Under this criterion the label probabilities are invariants of the
@@ -189,20 +187,24 @@ def respects_condensation(u: UnitaryOp, c: CondensationStructure,
     """
     coupling = _coupling(u, c)
     np.fill_diagonal(coupling, 0.0)
-    return not np.any(coupling > tol)
+    return not np.any(coupling > BLOCK_TOL)
 
 
-def finest_respected_structure(u: UnitaryOp, candidate: CondensationStructure,
-                               threshold: float = BLOCK_TOL) -> CondensationStructure:
+def finest_respected_structure(
+        u: UnitaryOp, candidate: CondensationStructure) -> CondensationStructure:
     """Coarsen a candidate partition until the unitary respects it.
 
-    Candidate blocks m, n are merged whenever ||P^m U P^n|| exceeds the
-    threshold; merging follows connected components of that coupling graph.
+    Candidate blocks m, n are merged whenever ||P^m U P^n|| exceeds
+    BLOCK_TOL; merging follows connected components of that coupling graph,
+    and a merged label is its members' labels joined by "+" as strings.
+    If nothing merges, `candidate` itself is returned, labels unchanged.
     """
     k = len(candidate.projectors)
     # self-loops on the diagonal leave the components unchanged
-    n_comp, comp = connected_components(_coupling(u, candidate) > threshold,
+    n_comp, comp = connected_components(_coupling(u, candidate) > BLOCK_TOL,
                                         directed=False)
+    if n_comp == k:
+        return candidate
     labels, projs = [], []
     for g in range(n_comp):
         members = [i for i in range(k) if comp[i] == g]

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg
 from .config import get_hbar
-from .errors import DimensionMismatch, InsufficientPoints, NotHermitian
+from .errors import DimensionMismatch, InsufficientPoints
 from .iop import InfoOperator, validate
 
 UNITARITY_TOL = 1e-9
@@ -40,11 +40,8 @@ class UnitaryOp:
 
 
 def hamiltonian(m) -> HamiltonianOp:
-    a = linalg.as_cmatrix(m)
-    d = linalg.require_square(a)
-    if not linalg.is_hermitian(a):
-        raise NotHermitian(f"hermiticity defect {linalg.hermiticity_defect(a):.3e}")
-    return HamiltonianOp(dim=d, matrix=(a + a.conj().T) / 2)
+    a = linalg.hermitian(m)
+    return HamiltonianOp(dim=a.shape[0], matrix=(a + a.conj().T) / 2)
 
 
 def unitary(m) -> UnitaryOp:

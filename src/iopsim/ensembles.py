@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dynamics import UnitaryOp
-from .iop import InfoOperator, validate
+from .iop import InfoOperator, pure_iop, validate
 
 
 def _ginibre(rng, d) -> np.ndarray:
@@ -37,6 +37,4 @@ def random_unitary(rng, d) -> UnitaryOp:
 
 
 def random_pure(rng, d) -> InfoOperator:
-    v = rng.normal(size=d) + 1j * rng.normal(size=d)
-    v = v / np.linalg.norm(v)
-    return validate(np.outer(v, v.conj()))
+    return pure_iop(rng.normal(size=d) + 1j * rng.normal(size=d))

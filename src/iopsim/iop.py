@@ -16,22 +16,25 @@ import numpy as np
 from . import linalg
 from .errors import (
     DimensionMismatch,
+    NotFinite,
     NotHermitian,
     NotPositive,
     ResultNotIOperator,
     SupportViolation,
     TraceNotOne,
+    ZeroVector,
 )
 
 TRACE_TOL = 1e-10
 POSITIVITY_TOL = 1e-10
 SUPPORT_EIGENVALUE_FLOOR = 1e-10
 SUPPORT_RESIDUAL_TOL = 1e-8
+PURITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class InfoOperator:
-    """Validated i-operator. Construct through :func:`validate`."""
+    """Validated i-operator: built by validate, max_iop or pure_iop only."""
 
     dim: int
     matrix: np.ndarray
@@ -40,7 +43,8 @@ class InfoOperator:
         self.matrix.setflags(write=False)
 
     def eig(self) -> linalg.HermEigen:
-        return linalg.herm_eig(self.matrix)
+        # each constructor yields an exactly Hermitian matrix: nothing to check
+        return linalg.eigh(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -60,15 +64,12 @@ def validate(m) -> InfoOperator:
     keeps operators produced by long evolutions and Kraus maps usable
     without silently accepting genuinely indefinite matrices.
     """
-    a = linalg.as_cmatrix(m)
-    d = linalg.require_square(a)
-    if not linalg.is_hermitian(a):
-        raise NotHermitian(f"hermiticity defect {linalg.hermiticity_defect(a):.3e}")
+    a = linalg.hermitian(m)
     a = (a + a.conj().T) / 2
     tr = float(np.trace(a).real)
     if abs(tr - 1.0) > TRACE_TOL:
         raise TraceNotOne(f"trace {tr!r} differs from 1 by {abs(tr - 1.0):.3e}")
-    w, v = np.linalg.eigh(a)
+    w, v = linalg.eigh(a)
     if w[0] < -POSITIVITY_TOL:
         raise NotPositive(f"minimum eigenvalue {w[0]:.3e}")
     if w[0] < 0:
@@ -76,7 +77,7 @@ def validate(m) -> InfoOperator:
         a = (v * w) @ v.conj().T
         a = (a + a.conj().T) / 2
         a = a / float(np.trace(a).real)
-    return InfoOperator(dim=d, matrix=a)
+    return InfoOperator(dim=a.shape[0], matrix=a)
 
 
 def max_iop(d: int) -> InfoOperator:
@@ -87,26 +88,28 @@ def max_iop(d: int) -> InfoOperator:
 
 
 def pure_iop(psi) -> InfoOperator:
-    """|psi><psi| for a (not necessarily normalized) nonzero vector."""
+    """|psi><psi| for a (not necessarily normalized) nonzero finite vector."""
     v = np.asarray(psi, dtype=complex).ravel()
     n = float(np.linalg.norm(v))
+    if not np.isfinite(n):
+        raise NotFinite(f"vector norm {n} is not finite")
     if n == 0:
-        raise ValueError("zero vector has no associated pure operator")
+        raise ZeroVector("zero vector has no associated pure operator")
     v = v / n
     return InfoOperator(dim=v.size, matrix=np.outer(v, v.conj()))
 
 
 def entropy(rho: InfoOperator) -> float:
     """-tr(rho log rho), with 0 log 0 = 0.  Lies in [0, log dim]."""
-    w = np.linalg.eigvalsh(rho.matrix)
+    w = linalg.eigh(rho.matrix, vectors=False)
     w = np.clip(w, 0.0, None)
     nz = w[w > 0]
     return float(-np.sum(nz * np.log(nz)))
 
 
-def is_pure(rho: InfoOperator, tol: float = 1e-9) -> bool:
+def is_pure(rho: InfoOperator) -> bool:
     purity = float(np.trace(rho.matrix @ rho.matrix).real)
-    return abs(purity - 1.0) <= tol
+    return abs(purity - 1.0) <= PURITY_TOL
 
 
 def contract(rho: InfoOperator, k: Contraction) -> InfoOperator:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPure, ZeroVector
-from .iop import InfoOperator, is_pure, validate
+from .errors import DimensionMismatch, NotFinite, NotPure, ZeroVector
+from .iop import InfoOperator, is_pure, pure_iop
 
 GAUGE_FLOOR = 1e-12
 
@@ -31,6 +31,8 @@ def gauge_fix(amplitudes) -> InfoVector:
     """Normalize and rotate so the first component above the floor is real > 0."""
     v = np.asarray(amplitudes, dtype=complex).ravel()
     norm = float(np.linalg.norm(v))
+    if not np.isfinite(norm):
+        raise NotFinite(f"vector norm {norm} is not finite")
     if norm < GAUGE_FLOOR:
         raise ZeroVector(f"norm {norm:.3e} below gauge floor")
     v = v / norm
@@ -43,7 +45,7 @@ def gauge_fix(amplitudes) -> InfoVector:
 
 def to_iop(v: InfoVector) -> InfoOperator:
     """|psi><psi|; any phase on the vector drops out."""
-    return validate(np.outer(v.amplitudes, v.amplitudes.conj()))
+    return pure_iop(v.amplitudes)
 
 
 def from_iop(rho: InfoOperator) -> InfoVector:

@@ -48,25 +48,38 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return float(np.linalg.norm(a - a.conj().T))
 
 
-def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    return hermiticity_defect(a) <= tol * max(1.0, float(np.linalg.norm(a)))
+def is_hermitian(a: np.ndarray) -> bool:
+    return hermiticity_defect(a) <= HERMITICITY_TOL * max(1.0, float(np.linalg.norm(a)))
 
 
-def herm_eig(a) -> HermEigen:
-    """Eigendecomposition of a Hermitian matrix.
+def hermitian(m) -> np.ndarray:
+    """`m` as a complex array, checked finite, square and Hermitian.
 
-    Raises NotHermitian if the input fails the relative hermiticity check,
-    NoConvergence if the underlying iteration does not converge.
+    Not symmetrized.  The one place NotHermitian reports the defect.
     """
-    a = as_cmatrix(a)
+    a = as_cmatrix(m)
     require_square(a)
     if not is_hermitian(a):
         raise NotHermitian(f"hermiticity defect {hermiticity_defect(a):.3e}")
+    return a
+
+
+def eigh(a: np.ndarray, vectors: bool = True):
+    """eigh, or eigvalsh if not `vectors`, of a matrix known to be Hermitian.
+
+    The one call site of numpy's eigensolvers; LinAlgError -> NoConvergence.
+    """
     try:
-        w, v = np.linalg.eigh(a)
+        if vectors:
+            return HermEigen(*np.linalg.eigh(a))
+        return np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-    return HermEigen(eigenvalues=w, eigenvectors=v)
+
+
+def herm_eig(a) -> HermEigen:
+    """Eigendecomposition of `a` after the :func:`hermitian` entry check."""
+    return eigh(hermitian(a))
 
 
 def mat_exp_herm_generator(h, t: float) -> np.ndarray:

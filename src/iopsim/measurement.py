@@ -85,7 +85,6 @@ class MeasurementSystem:
 @dataclass(frozen=True)
 class Observable:
     matrix: np.ndarray
-    provenance: MeasurementSystem
 
     def __post_init__(self):
         if not linalg.is_hermitian(self.matrix):
@@ -98,8 +97,8 @@ def completeness_defect(ms: MeasurementSystem) -> float:
     return float(np.linalg.norm(total - np.eye(ms.dim_s)))
 
 
-def is_definitive(ms: MeasurementSystem, tol: float = COMPLETENESS_TOL) -> bool:
-    return completeness_defect(ms) <= tol
+def is_definitive(ms: MeasurementSystem) -> bool:
+    return completeness_defect(ms) <= COMPLETENESS_TOL
 
 
 def outcome_probabilities(ms: MeasurementSystem, rho: InfoOperator):
@@ -141,7 +140,7 @@ def observable(ms: MeasurementSystem) -> Observable:
         raise NotDefinitive(f"completeness defect {completeness_defect(ms):.3e}")
     total = sum(ms.f[m] * k.conj().T @ k for m, k in zip(ms.labels, ms.kraus))
     total = (total + total.conj().T) / 2
-    return Observable(matrix=total, provenance=ms)
+    return Observable(matrix=total)
 
 
 def expectation(obs: Observable, rho: InfoOperator) -> float:
@@ -191,7 +190,7 @@ def kraus_from_branches(branches, whole: InfoOperator, f=None) -> MeasurementSys
     whole_m12 = (v * inv_sqrt) @ v.conj().T
     labels, kraus = [], []
     for br in branches:
-        bw, bv = np.linalg.eigh(br.rho_s.matrix)
+        bw, bv = br.rho_s.eig()
         root = (bv * np.sqrt(np.clip(bw, 0.0, None) * br.weight)) @ bv.conj().T
         labels.append(br.label)
         kraus.append(root @ whole_m12)

@@ -41,7 +41,7 @@ def matrix_from_json(obj) -> np.ndarray:
         )
     except ParseError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed matrix object: {exc}") from exc
     return flat.reshape(rows, cols)
 
@@ -53,5 +53,6 @@ def dumps(obj) -> str:
 def loads(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer literal past Python's digit limit
         raise ParseError(str(exc)) from exc

@@ -155,9 +155,19 @@ class TestErrorContract:
          None, None, "mc_samples must be at most 9223372036854775807"),
         (["run", "stern-gerlach", "--seed", "-1"], None, None,
          "seed must be nonnegative"),
+        # an entry past float range: reported in place after operator 0
+        (["validate"], None,
+         '[{"dim": 1, "entries": [[1, 0]]}, '
+         '{"dim": 1, "entries": [[1' + "0" * 400 + ', 0]]}]',
+         "operator 1: malformed (ParseError)"),
+        # an integer literal past Python's int-from-string digit limit
+        (["validate"], None,
+         '[{"dim": 1, "entries": [[1' + "0" * 5000 + ', 0]]}]',
+         "iopsim: error: Exceeds the limit"),
     ], ids=["mc-samples-0", "hbar-0", "seed-env-abc", "slits-40-44",
             "grid-over-cap", "validate-nan", "mc-samples-over-int64",
-            "seed-negative"])
+            "seed-negative", "validate-float-overflow",
+            "validate-int-digit-limit"])
     def test_exits_one_with_message(self, argv, env, text, message, tmp_path,
                                     monkeypatch, capsys):
         if env is not None:

@@ -270,3 +270,15 @@ class TestFinestStructure:
         finest = finest_respected_structure(u, candidate)
         assert respects_condensation(u, finest)
         assert len(finest.labels) == 2
+
+    def test_no_merge_returns_candidate(self, rng):
+        candidate = CondensationStructure.from_index_blocks(
+            6, {k: [2 * k, 2 * k + 1] for k in range(3)})
+        u = block_diag_unitary(rng, [2, 2, 2])
+        finest = finest_respected_structure(u, candidate)
+        assert finest is candidate
+        # labels keep their type; only merged labels are joined strings
+        assert finest.labels == (0, 1, 2)
+        merged = finest_respected_structure(block_diag_unitary(rng, [4, 2]),
+                                            candidate)
+        assert merged.labels == ("0+1", "2")

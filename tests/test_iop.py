@@ -7,10 +7,13 @@ from hypothesis import strategies as st
 
 from iopsim import linalg
 from iopsim.errors import (
+    NoConvergence,
+    NotFinite,
     NotPositive,
     ResultNotIOperator,
     SupportViolation,
     TraceNotOne,
+    ZeroVector,
 )
 from iopsim.iop import (
     Contraction,
@@ -51,6 +54,26 @@ class TestValidate:
         assert np.isclose(np.trace(rho.matrix).real, 1.0)
         # clamping moves no eigenvalue by more than the tolerance
         assert np.all(np.abs(w - np.array([0.0, 1.0 + eps])) <= 1e-10)
+
+    def test_eigensolver_failure_is_no_convergence(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NoConvergence, match="did not converge"):
+            validate(np.eye(2) / 2)
+
+
+class TestPureIop:
+    @pytest.mark.parametrize("psi", [[np.nan, 1.0], [1.0, np.inf],
+                                     [complex(0, np.nan), 1.0]])
+    def test_rejects_non_finite(self, psi):
+        with pytest.raises(NotFinite):
+            pure_iop(psi)
+
+    def test_rejects_zero_vector(self):
+        with pytest.raises(ZeroVector):
+            pure_iop([0.0, 0.0])
 
 
 class TestMaxIop:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iopsim import linalg
-from iopsim.errors import DimensionMismatch, NotPure, ZeroVector
+from iopsim.errors import DimensionMismatch, NotFinite, NotPure, ZeroVector
 from iopsim.ivec import InfoVector, from_iop, gauge_fix, superpose, to_iop
 from iopsim.iop import is_pure, max_iop, pure_iop
 
@@ -37,6 +37,11 @@ class TestGaugeFix:
     def test_zero_vector_rejected(self):
         with pytest.raises(ZeroVector):
             gauge_fix([0.0, 0.0])
+
+    @pytest.mark.parametrize("amplitudes", [[np.nan, 1.0], [1.0, -np.inf]])
+    def test_non_finite_rejected(self, amplitudes):
+        with pytest.raises(NotFinite):
+            gauge_fix(amplitudes)
 
 
 class TestRoundTrip:

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iopsim import linalg
-from iopsim.config import hbar
+from iopsim.config import get_hbar, hbar
 from iopsim.errors import DimensionMismatch, NotHermitian
 
 from conftest import random_hermitian
@@ -77,6 +78,16 @@ class TestMatExp:
         split = (linalg.mat_exp_herm_generator(h, t1)
                  @ linalg.mat_exp_herm_generator(h, t2))
         assert np.linalg.norm(whole - split) <= 1e-9
+
+    def test_hbar_override_stays_in_its_thread(self):
+        seen = []
+        worker = threading.Thread(target=lambda: seen.append(get_hbar()))
+        with hbar(2.5):
+            worker.start()
+            worker.join(timeout=10)
+            assert get_hbar() == 2.5
+        assert not worker.is_alive()
+        assert seen == [1.0]
 
 
 class TestKron:

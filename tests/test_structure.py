@@ -1,0 +1,77 @@
+"""The single validation path, checked on the package as a whole.
+
+Each validation decision is made in `linalg` or `iop` and nowhere else:
+checks read their module's tolerance constant instead of taking one as
+an argument, numpy's Hermitian eigensolvers are called from `linalg`
+only, and an operator built by one of the three constructors has the
+spectrum the checked path would give it.
+"""
+
+import importlib
+import inspect
+import pathlib
+import pkgutil
+import re
+
+import numpy as np
+import pytest
+
+import iopsim
+from iopsim import linalg
+from iopsim.iop import max_iop, pure_iop, validate
+
+SRC = pathlib.Path(iopsim.__file__).parent
+MODULES = [importlib.import_module(f"iopsim.{m.name}")
+           for m in pkgutil.iter_modules([str(SRC)])]
+
+
+def public_callables():
+    for module in MODULES:
+        for name, obj in vars(module).items():
+            if (name.startswith("_")
+                    or getattr(obj, "__module__", None) != module.__name__):
+                continue
+            if inspect.isfunction(obj):
+                yield f"{module.__name__}.{name}", obj
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    member = getattr(member, "__func__", member)
+                    if inspect.isfunction(member) and (
+                            attr == "__init__" or not attr.startswith("_")):
+                        yield f"{module.__name__}.{name}.{attr}", member
+
+
+def test_no_tolerance_parameters():
+    offenders = [
+        qualname for qualname, fn in public_callables()
+        if {"tol", "threshold"} & set(inspect.signature(fn).parameters)
+    ]
+    assert offenders == []
+
+
+EIGENSOLVER = re.compile(
+    r"\b(np|numpy|scipy)\.linalg\.eig(h|valsh)\b"
+    r"|from\s+(numpy|scipy)\.linalg\s+import")
+
+
+def test_eigensolver_called_from_linalg_only():
+    callers = sorted(path.name for path in SRC.glob("*.py")
+                     if EIGENSOLVER.search(path.read_text()))
+    assert callers == ["linalg.py"]
+
+
+@pytest.mark.parametrize("rho", [
+    validate(np.diag([0.7, 0.2, 0.1]).astype(complex)),
+    validate(np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]])),
+    # minimum eigenvalue -1e-12: validate clamps it and rebuilds the matrix
+    validate(np.diag([1 + 1e-12, -1e-12])),
+    max_iop(3),
+    pure_iop([1, 1j, 0.5]),
+    pure_iop([0.3, -2.0]),
+], ids=["validate-diagonal", "validate-dense", "validate-clamped",
+        "max-iop", "pure-iop-complex", "pure-iop-real"])
+def test_eig_matches_checked_path_bit_for_bit(rho):
+    fast = rho.eig()
+    checked = linalg.herm_eig(rho.matrix)
+    assert np.array_equal(fast.eigenvalues, checked.eigenvalues)
+    assert np.array_equal(fast.eigenvectors, checked.eigenvectors)
