@@ -28,6 +28,8 @@ from .errors import (
 from .iop import validate
 from .scenarios import SCENARIOS
 
+SELFTEST_TOL = 1e-9  # bound on every invariant defect `selftest` checks
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; the exit-code contract reserves
@@ -210,13 +212,13 @@ def _selftest():
                                 abs(entropy(evolved) - entropy(rho)))
             worst_trace = max(worst_trace,
                               abs(float(np.trace(evolved.matrix).real) - 1.0))
-        check(f"dim {d}: entropy unitary-invariant", worst_entropy <= 1e-9)
-        check(f"dim {d}: evolution trace-preserving", worst_trace <= 1e-9)
+        check(f"dim {d}: entropy unitary-invariant", worst_entropy <= SELFTEST_TOL)
+        check(f"dim {d}: evolution trace-preserving", worst_trace <= SELFTEST_TOL)
         worst = 0.0
         for _ in range(20):
             rho_s, rho_t = random_iop(rng, d), random_iop(rng, 2)
             worst = max(worst, composite.entropy_additivity_defect(rho_s, rho_t))
-        check(f"dim {d}: entropy additive over products", worst <= 1e-9)
+        check(f"dim {d}: entropy additive over products", worst <= SELFTEST_TOL)
         basis = np.eye(d, dtype=complex)
         ms = measurement.MeasurementSystem.projective(
             {k: np.outer(basis[:, k], basis[:, k].conj()) for k in range(d)})
@@ -225,7 +227,7 @@ def _selftest():
             rho = random_iop(rng, d)
             probs = measurement.outcome_probabilities(ms, rho)
             worst = max(worst, abs(sum(p for _, p in probs) - 1.0))
-        check(f"dim {d}: projective probabilities normalized", worst <= 1e-9)
+        check(f"dim {d}: projective probabilities normalized", worst <= SELFTEST_TOL)
 
     print("selftest passed" if not failures else "selftest FAILED")
     return 0 if not failures else 2

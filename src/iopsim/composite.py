@@ -16,10 +16,8 @@ import numpy as np
 from . import linalg
 from .condensation import CondensationStructure
 from .errors import DimensionMismatch
-from .iop import InfoOperator, entropy, validate
+from .iop import WEIGHT_SUM_TOL, InfoOperator, condition, entropy, validate
 from .serialize import matrix_to_json
-
-ZERO_BRANCH_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -52,7 +50,7 @@ class BranchDecomposition:
         bs = tuple(self.branches)
         if any(b.weight < 0 or b.residual < 0 for b in bs):
             raise ValueError("weights and residuals must be nonnegative")
-        if bs and abs(sum(b.weight for b in bs) - 1.0) > 1e-9:
+        if bs and abs(sum(b.weight for b in bs) - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError("branch weights must sum to 1")
         object.__setattr__(self, "branches", bs)
 
@@ -104,24 +102,17 @@ def branch_decompose(rho_st: InfoOperator, spec: CompositeSpec) -> BranchDecompo
     eye_s = np.eye(ds, dtype=complex)
     branches = []
     for m, p in zip(spec.t_structure.labels, spec.t_structure.projectors):
-        lifted = np.kron(eye_s, p)
-        block = lifted @ rho_st.matrix @ lifted
-        weight = float(np.trace(block).real)
-        if weight <= ZERO_BRANCH_TOL:
+        weight, block = condition(rho_st.matrix, np.kron(eye_s, p))
+        if block is None:
             continue
-        block = block / weight
         rho_s = validate(linalg.partial_trace(block, ds, dt, over="B"))
         rho_t = validate(linalg.partial_trace(block, ds, dt, over="A"))
-        residual = weight * float(np.linalg.norm(
-            block - np.kron(rho_s.matrix, rho_t.matrix)))
-        branches.append(Branch(label=m, weight=weight, rho_s=rho_s,
-                               rho_t=rho_t, residual=residual))
+        distance = float(np.linalg.norm(block - np.kron(rho_s.matrix, rho_t.matrix)))
+        branches.append(Branch(m, weight, rho_s, rho_t, weight * distance))
     total = sum(b.weight for b in branches)
-    branches = [
+    return BranchDecomposition(branches=tuple(
         Branch(b.label, b.weight / total, b.rho_s, b.rho_t, b.residual)
-        for b in branches
-    ]
-    return BranchDecomposition(branches=tuple(branches))
+        for b in branches))
 
 
 def unconditional_object(b: BranchDecomposition) -> InfoOperator:

@@ -17,8 +17,8 @@ from scipy.sparse.csgraph import connected_components
 from . import linalg
 from .dynamics import UnitaryOp
 from .errors import DimensionMismatch, ZeroProbabilityLabel
-from .iop import InfoOperator, validate
-from .serialize import matrix_from_json, matrix_to_json
+from .iop import InfoOperator, condition, validate
+from .serialize import fields_of, matrix_from_json, matrix_to_json
 
 PROJECTOR_TOL = 1e-10
 CONDENSED_TOL = 1e-9
@@ -78,14 +78,12 @@ class CondensationStructure:
 
         `blocks` maps label -> iterable of basis indices.
         """
-        labels, projs = [], []
-        for label, idx in blocks.items():
+        projs = []
+        for idx in blocks.values():
             p = np.zeros((dim, dim), dtype=complex)
-            for j in idx:
-                p[j, j] = 1.0
-            labels.append(label)
+            p[list(idx), list(idx)] = 1.0
             projs.append(p)
-        return cls(dim=dim, labels=tuple(labels), projectors=tuple(projs),
+        return cls(dim=dim, labels=tuple(blocks), projectors=tuple(projs),
                    period=period)
 
     def lift(self, dim_left: int) -> "CondensationStructure":
@@ -108,12 +106,13 @@ class CondensationStructure:
 
     @classmethod
     def from_json(cls, obj) -> "CondensationStructure":
-        return cls(
-            dim=int(obj["dim"]),
-            labels=tuple(obj["labels"]),
-            projectors=tuple(matrix_from_json(p) for p in obj["projectors"]),
-            period=tuple(obj["period"]),
-        )
+        with fields_of("condensation structure"):
+            tau1, tau2 = obj["period"]
+            projectors = tuple(matrix_from_json(p) for p in obj["projectors"])
+            fields = dict(dim=int(obj["dim"]), labels=tuple(obj["labels"]),
+                          projectors=projectors, period=(float(tau1), float(tau2)))
+            hash(fields["labels"])  # a label must be hashable: no JSON list or object
+        return cls(**fields)
 
 
 def _check_dims(rho: InfoOperator, c: CondensationStructure):
@@ -143,11 +142,10 @@ def condition_on_label(rho: InfoOperator, c: CondensationStructure, m) -> InfoOp
         p = c.projectors[c.labels.index(m)]
     except ValueError:
         raise KeyError(f"unknown label {m!r}") from None
-    block = p @ rho.matrix @ p
-    weight = float(np.trace(block).real)
-    if weight <= 1e-12:
+    weight, block = condition(rho.matrix, p)
+    if block is None:
         raise ZeroProbabilityLabel(f"label {m!r} has weight {weight:.3e}")
-    return validate(block / weight)
+    return validate(block)
 
 
 def block_projected(rho: InfoOperator, c: CondensationStructure) -> InfoOperator:

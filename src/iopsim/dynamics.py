@@ -15,10 +15,12 @@ import numpy as np
 
 from . import linalg
 from .config import get_hbar
-from .errors import DimensionMismatch, InsufficientPoints
+from .errors import DimensionMismatch, InsufficientPoints, NotUnitary
 from .iop import InfoOperator, validate
 
 UNITARITY_TOL = 1e-9
+TIME_SPACING_RTOL = 1e-9  # np.allclose bounds on uneven trajectory time steps
+TIME_SPACING_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,7 @@ def unitary(m) -> UnitaryOp:
     d = linalg.require_square(a)
     defect = linalg.unitarity_defect(a)
     if defect > UNITARITY_TOL:
-        raise ValueError(f"unitarity defect {defect:.3e}")
+        raise NotUnitary(f"unitarity defect {defect:.3e}")
     return UnitaryOp(dim=d, matrix=a)
 
 
@@ -96,7 +98,8 @@ def motion_residual(h: HamiltonianOp, rho_traj) -> float:
     dts = np.diff(times)
     if np.any(dts <= 0):
         raise ValueError("trajectory times must be strictly increasing")
-    if not np.allclose(dts, dts[0], rtol=1e-9, atol=1e-12):
+    if not np.allclose(dts, dts[0], rtol=TIME_SPACING_RTOL,
+                       atol=TIME_SPACING_ATOL):
         raise ValueError("trajectory times must be uniformly spaced")
     dt = float(dts[0])
     hbar = get_hbar()

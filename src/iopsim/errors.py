@@ -17,6 +17,10 @@ class NotHermitian(IopsimError):
     pass
 
 
+class NotUnitary(IopsimError):
+    pass
+
+
 class NoConvergence(IopsimError):
     pass
 
@@ -37,11 +41,15 @@ class SupportViolation(IopsimError):
     pass
 
 
-class ZeroProbabilityLabel(IopsimError):
+class ZeroWeight(IopsimError):
+    """A part, label or outcome whose weight is at most iop.ZERO_WEIGHT_FLOOR."""
+
+
+class ZeroProbabilityLabel(ZeroWeight):
     pass
 
 
-class ZeroProbabilityOutcome(IopsimError):
+class ZeroProbabilityOutcome(ZeroWeight):
     pass
 
 

@@ -9,7 +9,7 @@ maximum one, and every component of a mixture is a contraction of the mix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .errors import (
     SupportViolation,
     TraceNotOne,
     ZeroVector,
+    ZeroWeight,
 )
 
 TRACE_TOL = 1e-10
@@ -30,6 +31,8 @@ POSITIVITY_TOL = 1e-10
 SUPPORT_EIGENVALUE_FLOOR = 1e-10
 SUPPORT_RESIDUAL_TOL = 1e-8
 PURITY_TOL = 1e-9
+WEIGHT_SUM_TOL = 1e-10
+ZERO_WEIGHT_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -97,6 +100,16 @@ def pure_iop(psi) -> InfoOperator:
         raise ZeroVector("zero vector has no associated pure operator")
     v = v / n
     return InfoOperator(dim=v.size, matrix=np.outer(v, v.conj()))
+
+
+def condition(m: np.ndarray, k=None):
+    """(w, K m K^dag / w) for w = tr(K m K^dag); (w, None) if w <= ZERO_WEIGHT_FLOOR.
+
+    The one zero-weight decision.  k None normalizes m; nothing is validated.
+    """
+    block = m if k is None else k @ m @ k.conj().T
+    weight = float(np.trace(block).real)
+    return weight, (block / weight if weight > ZERO_WEIGHT_FLOOR else None)
 
 
 def entropy(rho: InfoOperator) -> float:
@@ -179,7 +192,7 @@ class Mixture:
             raise ValueError("weights and components must be nonempty and aligned")
         if any(w <= 0 for w in ws):
             raise ValueError("all mixture weights must be positive")
-        if abs(sum(ws) - 1.0) > 1e-10:
+        if abs(sum(ws) - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {sum(ws)!r}, not 1")
         dims = {c.dim for c in comps}
         if len(dims) != 1:
@@ -190,10 +203,10 @@ class Mixture:
     @classmethod
     def from_unnormalized(cls, sigmas) -> "Mixture":
         """Build from unnormalized positive parts; weights are the traces."""
-        sigmas = [linalg.as_cmatrix(s) for s in sigmas]
-        weights = [float(np.trace(s).real) for s in sigmas]
-        comps = [validate(s / w) for s, w in zip(sigmas, weights)]
-        return cls(weights=tuple(weights), components=tuple(comps))
+        pairs = [condition(linalg.as_cmatrix(s)) for s in sigmas]
+        if any(part is None for _, part in pairs):
+            raise ZeroWeight(f"a part has zero weight: weights {[w for w, _ in pairs]}")
+        return cls([w for w, _ in pairs], [validate(part) for _, part in pairs])
 
     def combined(self) -> InfoOperator:
         total = sum(w * c.matrix for w, c in zip(self.weights, self.components))

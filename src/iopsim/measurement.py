@@ -25,10 +25,11 @@ from .errors import (
     NotHermitian,
     ZeroProbabilityOutcome,
 )
-from .iop import InfoOperator, validate
-from .serialize import matrix_from_json, matrix_to_json
+from .iop import SUPPORT_EIGENVALUE_FLOOR, InfoOperator, condition, validate
+from .serialize import fields_of, matrix_from_json, matrix_to_json
 
 COMPLETENESS_TOL = 1e-9
+IMAG_RESIDUE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -73,13 +74,12 @@ class MeasurementSystem:
 
     @classmethod
     def from_json(cls, obj) -> "MeasurementSystem":
-        labels = tuple(obj["labels"])
-        return cls(
-            dim_s=int(obj["dim"]),
-            labels=labels,
-            kraus=tuple(matrix_from_json(k) for k in obj["kraus"]),
-            f={m: float(obj["f"][m]) for m in labels},
-        )
+        with fields_of("measurement system"):
+            labels = tuple(obj["labels"])
+            fields = dict(dim_s=int(obj["dim"]), labels=labels,
+                          kraus=tuple(matrix_from_json(k) for k in obj["kraus"]),
+                          f={m: float(obj["f"][m]) for m in labels})
+        return cls(**fields)
 
 
 @dataclass(frozen=True)
@@ -123,11 +123,10 @@ def post_measurement_object(ms: MeasurementSystem, rho: InfoOperator, m) -> Info
         k = ms.kraus[ms.labels.index(m)]
     except ValueError:
         raise KeyError(f"unknown label {m!r}") from None
-    out = k @ rho.matrix @ k.conj().T
-    weight = float(np.trace(out).real)
-    if weight <= 1e-12:
+    weight, block = condition(rho.matrix, k)
+    if block is None:
         raise ZeroProbabilityOutcome(f"outcome {m!r} has probability {weight:.3e}")
-    return validate(out / weight)
+    return validate(block)
 
 
 def observable(ms: MeasurementSystem) -> Observable:
@@ -149,7 +148,7 @@ def expectation(obs: Observable, rho: InfoOperator) -> float:
             f"operator dim {rho.dim} != observable dim {obs.matrix.shape[0]}"
         )
     value = complex(np.trace(obs.matrix @ rho.matrix))
-    if abs(value.imag) > 1e-10:
+    if abs(value.imag) > IMAG_RESIDUE_TOL:
         raise ValueError(f"expectation has imaginary residue {value.imag:.3e}")
     return float(value.real)
 
@@ -185,7 +184,7 @@ def kraus_from_branches(branches, whole: InfoOperator, f=None) -> MeasurementSys
     """
     w, v = whole.eig()
     inv_sqrt = np.zeros_like(w)
-    pos = w > 1e-12
+    pos = w > SUPPORT_EIGENVALUE_FLOOR
     inv_sqrt[pos] = 1.0 / np.sqrt(w[pos])
     whole_m12 = (v * inv_sqrt) @ v.conj().T
     labels, kraus = [], []

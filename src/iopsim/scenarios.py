@@ -10,7 +10,7 @@ explicit seeds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from . import composite, condensation, dynamics, ivec, linalg, measurement
 from .config import DIM_CAP
 from .errors import BadParameter, BadSlitGeometry, SupportViolation
 from .iop import (
-    InfoOperator,
+    ZERO_WEIGHT_FLOOR,
     Mixture,
     contract,
     contraction_from_max,
@@ -39,14 +39,6 @@ class Check:
     residual: float
     tolerance: float
 
-    def to_json(self) -> dict:
-        return {
-            "description": self.description,
-            "passed": bool(self.passed),
-            "residual": float(self.residual),
-            "tolerance": float(self.tolerance),
-        }
-
 
 @dataclass
 class ScenarioReport:
@@ -64,14 +56,14 @@ class ScenarioReport:
             "scenario": self.scenario_name,
             "inputs": self.inputs,
             "outputs": self.outputs,
-            "checks": [c.to_json() for c in self.checks],
+            "checks": [asdict(c) for c in self.checks],
             "notes": self.notes,
             "all_pass": self.all_pass(),
         }
 
 
 class _Checks:
-    """Accumulates checks, applying named tolerance overrides."""
+    """Collects checks under overridable named tolerances; yes/no checks report 0.0."""
 
     def __init__(self, defaults: dict, overrides=None):
         overrides = dict(overrides or {})
@@ -82,21 +74,14 @@ class _Checks:
         self.items: list = []
 
     def residual(self, name: str, residual: float, description=None):
-        tol = self.tols[name]
-        self.items.append(Check(description or name, residual <= tol,
+        tol = float(self.tols[name])
+        self.items.append(Check(description or name, bool(residual <= tol),
                                 float(residual), tol))
 
-    def strict_greater(self, name: str, lhs: float, rhs: float, description=None):
-        # passes iff lhs > rhs; residual is the margin by which it fails
-        self.items.append(Check(description or name, lhs > rhs,
-                                float(max(0.0, rhs - lhs)), self.tols[name]))
-
-    def expect_true(self, name: str, value: bool, description=None):
-        self.items.append(Check(description or name, bool(value),
-                                0.0 if value else 1.0, self.tols[name]))
-
-    def expect_false(self, name: str, value: bool, description=None):
-        self.expect_true(name, not value, description)
+    def holds(self, name: str, ok: bool, description=None, residual=None):
+        residual = (0.0 if ok else 1.0) if residual is None else residual
+        self.items.append(Check(description or name, bool(ok),
+                                float(residual), 0.0))
 
 
 # --- Stern-Gerlach -----------------------------------------------------------
@@ -118,7 +103,6 @@ STERN_TOLS = {
     "post_measurement_object": 1e-12,
     "unconditional_object": 1e-12,
     "screen_completeness": 1e-12,
-    "interaction_dissolves_condensation": 0.5,
     "sampled_frequencies": 0.0,  # bound computed per label; see check text
 }
 
@@ -232,9 +216,9 @@ def stern_gerlach(p_up_prior: float = 0.5, mc_samples: int = 10000,
     # Negative control: during the interaction the apparatus condensation
     # is dissolved, so U must NOT be block-diagonal in the lifted structure.
     lifted = t_structure.lift(dim_left=2)
-    ck.expect_false(
+    ck.holds(
         "interaction_dissolves_condensation",
-        condensation.respects_condensation(u, lifted),
+        not condensation.respects_condensation(u, lifted),
         "interaction_dissolves_condensation (expected non-block-diagonal)")
 
     # Monte-Carlo sub-run on the readout statistics.
@@ -270,7 +254,6 @@ CAT_TOLS = {
     "probabilities_sum": 1e-9,
     "conditioning_commutes": 1e-9,
     "component_is_contraction": 1e-9,
-    "superposition_not_condensed": 0.5,
 }
 
 _CAT_H_PLUS = np.array([[1.0, 0.3 - 0.2j], [0.3 + 0.2j, -0.5]])
@@ -317,12 +300,12 @@ def cat(p_plus: float = 0.3, steps: int = 20, tol_overrides=None) -> ScenarioRep
     ck.residual("probabilities_sum",
                 max(abs(sum(step.values()) - 1.0) for step in prob_history))
 
-    live_labels = [m for m, p in initial.items() if p > 1e-12]
+    live_labels = [m for m, p in initial.items() if p > ZERO_WEIGHT_FLOOR]
+    u_total = dynamics.propagator(ham, 0.0, steps * _CAT_DT)
     commute_residual = 0.0
     for m in live_labels:
         conditioned_then_evolved = dynamics.evolve(
-            condensation.condition_on_label(rho, structure, m),
-            dynamics.propagator(ham, 0.0, steps * _CAT_DT))
+            condensation.condition_on_label(rho, structure, m), u_total)
         evolved_then_conditioned = condensation.condition_on_label(
             current, structure, m)
         commute_residual = max(commute_residual, linalg.frobenius_dist(
@@ -342,9 +325,9 @@ def cat(p_plus: float = 0.3, steps: int = 20, tol_overrides=None) -> ScenarioRep
     # Negative control: a cross-subspace superposition is not condensed,
     # though its label traces are still well defined.
     rho_coherent = pure_iop([1, 0, 1, 0])
-    ck.expect_false(
+    ck.holds(
         "superposition_not_condensed",
-        condensation.is_condensed_form(rho_coherent, structure),
+        not condensation.is_condensed_form(rho_coherent, structure),
         "superposition_not_condensed (expected non-condensed)")
     coherent_probs = dict(condensation.label_probabilities(rho_coherent, structure))
 
@@ -383,7 +366,6 @@ SPIN_ONE_TOLS = {
     "mixture_contracts_to_components": 1e-10,
     "decompose_weights": 1e-12,
     "entropy_values": 1e-12,
-    "disjoint_support_rejected": 0.5,
 }
 
 
@@ -432,8 +414,8 @@ def spin_one_example(tol_overrides=None) -> ScenarioReport:
         rejected = False
     except SupportViolation:
         rejected = True
-    ck.expect_true("disjoint_support_rejected", rejected,
-                   "disjoint_support_rejected (expected SupportViolation)")
+    ck.holds("disjoint_support_rejected", rejected,
+             "disjoint_support_rejected (expected SupportViolation)")
 
     report.outputs = {
         "entropy_mixture": e_prime,
@@ -457,7 +439,6 @@ TWO_SLIT_TOLS = {
     "vector_operator_consistency": 1e-9,
     "normalization": 1e-9,
     "symmetry": 1e-9,
-    "interference_contrast": 0.0,
     "one_slit_control": 1e-9,
 }
 
@@ -601,9 +582,10 @@ def two_slit(grid_n: int = 128, p_pass=None,
     contrast_a = float(intensity_a[central].max() - intensity_a[central].min())
     contrast_b = float(intensity_b[central].max() - intensity_b[central].min())
     if len(slits) >= 2:
-        ck.strict_greater(
-            "interference_contrast", contrast_a, contrast_b,
-            "interference_contrast (coherent must strictly exceed incoherent)")
+        ck.holds(
+            "interference_contrast", contrast_a > contrast_b,
+            "interference_contrast (coherent must strictly exceed incoherent)",
+            residual=max(0.0, contrast_b - contrast_a))
 
     # no-second-path control: with a single slit the operator route and
     # the information-vector route must give the same pattern

@@ -8,6 +8,7 @@ All emitted JSON is deterministic: keys sorted, no timestamps.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -25,24 +26,26 @@ def matrix_to_json(a: np.ndarray) -> dict:
     return out
 
 
-def matrix_from_json(obj) -> np.ndarray:
+@contextmanager
+def fields_of(kind: str):
+    """Report a missing key or a wrong-typed field of a `kind` as ParseError."""
     try:
+        yield
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"malformed {kind} object: {exc}") from exc
+
+
+def matrix_from_json(obj) -> np.ndarray:
+    with fields_of("matrix"):
         rows = int(obj["dim"])
         cols = int(obj.get("dim_cols", rows))
         if rows < 1 or cols < 1:
             raise ParseError(f"matrix dimensions must be positive, got {rows}x{cols}")
         entries = obj["entries"]
         if len(entries) != rows * cols:
-            raise ParseError(
-                f"expected {rows * cols} entries, got {len(entries)}"
-            )
-        flat = np.array(
-            [complex(float(re), float(im)) for re, im in entries], dtype=complex
-        )
-    except ParseError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"malformed matrix object: {exc}") from exc
+            raise ParseError(f"expected {rows * cols} entries, got {len(entries)}")
+        flat = np.array([complex(float(re), float(im)) for re, im in entries],
+                        dtype=complex)
     return flat.reshape(rows, cols)
 
 
@@ -53,6 +56,7 @@ def dumps(obj) -> str:
 def loads(text: str):
     try:
         return json.loads(text)
-    except ValueError as exc:
-        # a JSONDecodeError, or an integer literal past Python's digit limit
+    except (ValueError, RecursionError) as exc:
+        # a JSONDecodeError, an integer literal past Python's digit limit,
+        # or nesting deeper than the decoder's recursion limit
         raise ParseError(str(exc)) from exc

@@ -164,10 +164,25 @@ class TestErrorContract:
         (["validate"], None,
          '[{"dim": 1, "entries": [[1' + "0" * 5000 + ', 0]]}]',
          "iopsim: error: Exceeds the limit"),
+        # nesting deeper than the JSON decoder's recursion limit
+        (["validate"], None, "[" * 100000,
+         "iopsim: error: maximum recursion depth exceeded"),
+        # yes/no checks take no tolerance, so these names are unknown
+        (["run", "stern-gerlach", "--tol", "interaction_dissolves_condensation=1"],
+         None, None, "unknown tolerance names"),
+        (["run", "cat", "--tol", "superposition_not_condensed=1"], None, None,
+         "unknown tolerance names"),
+        (["run", "spin-one", "--tol", "disjoint_support_rejected=1"], None, None,
+         "unknown tolerance names"),
+        (["run", "two-slit", "--tol", "interference_contrast=1"], None, None,
+         "unknown tolerance names"),
     ], ids=["mc-samples-0", "hbar-0", "seed-env-abc", "slits-40-44",
             "grid-over-cap", "validate-nan", "mc-samples-over-int64",
             "seed-negative", "validate-float-overflow",
-            "validate-int-digit-limit"])
+            "validate-int-digit-limit", "validate-deep-nesting",
+            "tol-interaction-dissolves-condensation",
+            "tol-superposition-not-condensed", "tol-disjoint-support-rejected",
+            "tol-interference-contrast"])
     def test_exits_one_with_message(self, argv, env, text, message, tmp_path,
                                     monkeypatch, capsys):
         if env is not None:

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from iopsim import linalg
 from iopsim.composite import (
+    Branch,
+    BranchDecomposition,
     CompositeSpec,
     branch_decompose,
     compose,
@@ -15,7 +17,7 @@ from iopsim.composite import (
     unconditional_object,
 )
 from iopsim.condensation import CondensationStructure, label_probabilities
-from iopsim.iop import entropy, is_pure, max_iop, pure_iop, validate
+from iopsim.iop import Mixture, entropy, is_pure, max_iop, pure_iop, validate
 
 from conftest import random_iop, random_pure
 
@@ -182,3 +184,16 @@ class TestQuantizationAxisIndifference:
         z_mix = (np.outer(up, up) + np.outer(down, down)) / 2
         x_mix = (np.outer(right, right) + np.outer(left, left)) / 2
         assert np.linalg.norm(z_mix - x_mix) <= 1e-12
+
+
+class TestBranchWeightSum:
+    def test_shares_the_mixture_bound(self):
+        # the bound is iop.WEIGHT_SUM_TOL (1e-10), as for Mixture
+        rho = max_iop(2)
+        ok = Branch("a", 0.5, rho, rho, 0.0), Branch("b", 0.5 + 5e-11, rho, rho, 0.0)
+        assert len(BranchDecomposition(ok).branches) == 2
+        off = Branch("a", 0.5, rho, rho, 0.0), Branch("b", 0.5 + 5e-10, rho, rho, 0.0)
+        with pytest.raises(ValueError):
+            BranchDecomposition(off)
+        with pytest.raises(ValueError):
+            Mixture(weights=(0.5, 0.5 + 5e-10), components=(rho, rho))

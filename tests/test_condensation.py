@@ -18,7 +18,7 @@ from iopsim.condensation import (
     respects_condensation,
 )
 from iopsim.dynamics import UnitaryOp, evolve
-from iopsim.errors import ZeroProbabilityLabel
+from iopsim.errors import ParseError, ZeroProbabilityLabel
 from iopsim.iop import max_iop, pure_iop, validate
 
 from conftest import random_iop, random_unitary
@@ -282,3 +282,27 @@ class TestFinestStructure:
         merged = finest_respected_structure(block_diag_unitary(rng, [4, 2]),
                                             candidate)
         assert merged.labels == ("0+1", "2")
+
+
+class TestFromJsonErrors:
+    @pytest.mark.parametrize("obj", [
+        {"dim": 2},
+        {"dim": "two", "labels": ["a"], "period": [0, 1], "projectors": []},
+        {"dim": 1, "labels": ["a"], "period": [0], "projectors": []},
+        {"dim": 1, "labels": ["a"], "period": [0, "x"], "projectors": []},
+        {"dim": 1, "labels": ["a"], "period": [0, 1], "projectors": 5},
+        [1, 2],
+        {"dim": 1, "labels": [["a"]], "period": [0, 1],
+         "projectors": [{"dim": 1, "entries": [[1, 0]]}]},
+    ], ids=["missing-keys", "dim-not-int", "period-too-short",
+            "period-not-number", "projectors-not-list", "not-an-object",
+            "label-not-hashable"])
+    def test_malformed_is_parse_error(self, obj):
+        with pytest.raises(ParseError):
+            CondensationStructure.from_json(obj)
+
+    def test_well_formed_invalid_is_value_error(self, structure):
+        obj = structure.to_json()
+        obj["period"] = [1.0, 0.0]
+        with pytest.raises(ValueError):
+            CondensationStructure.from_json(obj)

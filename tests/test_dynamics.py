@@ -14,8 +14,9 @@ from iopsim.dynamics import (
     motion_residual,
     propagator,
     schedule_propagator,
+    unitary,
 )
-from iopsim.errors import InsufficientPoints
+from iopsim.errors import InsufficientPoints, IopsimError, NotUnitary
 from iopsim.iop import entropy, is_pure, max_iop, validate
 
 from conftest import random_hermitian, random_iop, random_pure, random_unitary
@@ -132,3 +133,14 @@ class TestMotionResidual:
         h = hamiltonian(random_hermitian(rng, 2))
         with pytest.raises(InsufficientPoints):
             motion_residual(h, [(0.0, max_iop(2)), (0.1, max_iop(2))])
+
+
+class TestUnitaryCheck:
+    def test_non_unitary_is_typed(self):
+        with pytest.raises(NotUnitary, match="unitarity defect"):
+            unitary(np.diag([1.0, 2.0]))
+        assert issubclass(NotUnitary, IopsimError)
+
+    def test_unitary_accepted(self, rng):
+        u = random_unitary(rng, 3).matrix
+        assert np.array_equal(unitary(u).matrix, u)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iopsim import linalg
+from iopsim.composite import CompositeSpec, branch_decompose
+from iopsim.condensation import CondensationStructure, condition_on_label
 from iopsim.errors import (
     NoConvergence,
     NotFinite,
@@ -13,11 +16,16 @@ from iopsim.errors import (
     ResultNotIOperator,
     SupportViolation,
     TraceNotOne,
+    ZeroProbabilityLabel,
+    ZeroProbabilityOutcome,
     ZeroVector,
+    ZeroWeight,
 )
 from iopsim.iop import (
+    ZERO_WEIGHT_FLOOR,
     Contraction,
     Mixture,
+    condition,
     contract,
     contraction_from_max,
     contraction_from_mixture,
@@ -28,6 +36,7 @@ from iopsim.iop import (
     pure_iop,
     validate,
 )
+from iopsim.measurement import MeasurementSystem, post_measurement_object
 
 from conftest import random_iop, random_pure, random_unitary
 
@@ -238,3 +247,42 @@ class TestMixture:
         with pytest.raises(ValueError):
             Mixture(weights=(1.0, 0.0),
                     components=(random_iop(rng, 2), random_iop(rng, 2)))
+
+
+class TestConditioning:
+    """`iop.condition` makes the one zero-weight decision for every caller."""
+
+    def test_weight_at_floor_is_zero(self):
+        m = np.diag([1.0, 0.0]).astype(complex)
+        assert condition(m * ZERO_WEIGHT_FLOOR)[1] is None
+        weight, block = condition(m * 2 * ZERO_WEIGHT_FLOOR)
+        assert weight == 2 * ZERO_WEIGHT_FLOOR
+        np.testing.assert_allclose(block, m)
+
+    def test_kraus_conjugation(self):
+        k = np.array([[1, 1], [0, 0]]) / math.sqrt(2)
+        weight, block = condition(max_iop(2).matrix, k)
+        assert np.isclose(weight, 0.5)
+        np.testing.assert_allclose(block, np.diag([1.0, 0.0]), atol=1e-15)
+
+    def test_unnormalized_zero_part_is_typed_without_warning(self, rng):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ZeroWeight):
+                Mixture.from_unnormalized([random_iop(rng, 2).matrix,
+                                           np.zeros((2, 2))])
+
+    def test_every_caller_shares_the_floor(self):
+        # label "-" / outcome "down" / branch "-" carry weight 5e-13 <= floor
+        rho = validate(np.diag([1 - 5e-13, 5e-13]))
+        ms = MeasurementSystem.projective(
+            {"up": np.diag([1.0, 0.0]), "down": np.diag([0.0, 1.0])})
+        structure = CondensationStructure.from_index_blocks(2, {"+": [0], "-": [1]})
+        with pytest.raises(ZeroProbabilityOutcome):
+            post_measurement_object(ms, rho, "down")
+        with pytest.raises(ZeroProbabilityLabel):
+            condition_on_label(rho, structure, "-")
+        spec = CompositeSpec(dim_s=1, dim_t=2, t_structure=structure)
+        assert [b.label for b in branch_decompose(rho, spec).branches] == ["+"]
+        assert issubclass(ZeroProbabilityLabel, ZeroWeight)
+        assert issubclass(ZeroProbabilityOutcome, ZeroWeight)

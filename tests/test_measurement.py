@@ -7,8 +7,13 @@ from hypothesis import strategies as st
 
 from iopsim import linalg
 from iopsim.composite import Branch
-from iopsim.errors import NotDefinitive, ZeroProbabilityOutcome
-from iopsim.iop import max_iop, pure_iop, validate
+from iopsim.errors import (
+    NotDefinitive,
+    ParseError,
+    SupportViolation,
+    ZeroProbabilityOutcome,
+)
+from iopsim.iop import contraction_from_mixture, max_iop, pure_iop, validate
 from iopsim.measurement import (
     MeasurementSystem,
     completeness_defect,
@@ -226,3 +231,45 @@ class TestKrausFromBranches:
             out = k @ whole.matrix @ k.conj().T
             assert np.isclose(np.trace(out).real, w, atol=1e-8)
             assert linalg.frobenius_dist(out / w, c.matrix) <= 1e-7
+
+
+class TestSupportFloor:
+    def test_kraus_support_matches_contraction_support(self):
+        # whole has eigenvalue 5e-11 in (1e-12, 1e-10] along e1: both
+        # constructions treat e1 as outside its support
+        whole = validate(np.diag([1 - 5e-11, 5e-11]))
+        branches = [
+            Branch(label="0", weight=1 - 5e-11, rho_s=pure_iop([1, 0]),
+                   rho_t=max_iop(1), residual=0.0),
+            Branch(label="1", weight=5e-11, rho_s=pure_iop([0, 1]),
+                   rho_t=max_iop(1), residual=0.0),
+        ]
+        ms = kraus_from_branches(branches, whole)
+        for k in ms.kraus:
+            assert np.linalg.norm(k @ np.array([0, 1])) == 0.0
+        with pytest.raises(SupportViolation):
+            contraction_from_mixture(whole, pure_iop([0, 1]))
+        k = contraction_from_mixture(whole, pure_iop([1, 0])).k
+        assert np.linalg.norm(k @ np.array([0, 1])) == 0.0
+
+
+class TestFromJsonErrors:
+    def test_round_trip_still_checks_validity(self, z_system):
+        obj = z_system.to_json()
+        obj["labels"] = ["up", "up"]
+        with pytest.raises(ValueError, match="distinct"):
+            MeasurementSystem.from_json(obj)
+
+    @pytest.mark.parametrize("change", [
+        lambda o: o.pop("labels"),
+        lambda o: o["f"].pop("up"),
+        lambda o: o.update(f=[0.5, -0.5]),
+        lambda o: o.update(dim="two"),
+        lambda o: o.update(kraus=5),
+    ], ids=["no-labels", "f-lacks-label", "f-not-object", "dim-not-int",
+            "kraus-not-list"])
+    def test_malformed_is_parse_error(self, z_system, change):
+        obj = z_system.to_json()
+        change(obj)
+        with pytest.raises(ParseError):
+            MeasurementSystem.from_json(obj)

@@ -164,3 +164,34 @@ class TestReports:
         assert a.outputs["exact_probabilities"] == b.outputs["exact_probabilities"]
         assert (a.outputs["sampled_frequencies"]
                 != b.outputs["sampled_frequencies"])
+
+
+class TestVerdicts:
+    """A check passes exactly when its residual is within its tolerance."""
+
+    @pytest.mark.parametrize("name, kwargs", [
+        ("stern-gerlach", {}),
+        ("stern-gerlach", {"p_up_prior": 1.0}),
+        ("cat", {}),
+        ("spin-one", {}),
+        ("two-slit", {}),
+        # a geometry whose interference_contrast check fails
+        ("two-slit", {"grid_n": 256, "slit_positions": ((80, 84), (172, 176))}),
+    ], ids=["stern-gerlach", "stern-gerlach-p-up-1", "cat", "spin-one",
+            "two-slit", "two-slit-grid-256"])
+    def test_passed_iff_residual_within_tolerance(self, name, kwargs):
+        for check in SCENARIOS[name](**kwargs).checks:
+            assert check.passed == (check.residual <= check.tolerance), check
+
+    @pytest.mark.parametrize("name, tol", [
+        ("stern-gerlach", "interaction_dissolves_condensation"),
+        ("cat", "superposition_not_condensed"),
+        ("spin-one", "disjoint_support_rejected"),
+        ("two-slit", "interference_contrast"),
+    ])
+    def test_yes_no_checks_take_no_tolerance(self, name, tol):
+        with pytest.raises(BadParameter, match="unknown tolerance names"):
+            SCENARIOS[name](tol_overrides={tol: 1.0})
+        checks = [c for c in SCENARIOS[name]().checks
+                  if c.description.startswith(tol)]
+        assert len(checks) == 1 and checks[0].tolerance == 0.0

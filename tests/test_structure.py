@@ -7,6 +7,7 @@ only, and an operator built by one of the three constructors has the
 spectrum the checked path would give it.
 """
 
+import ast
 import importlib
 import inspect
 import pathlib
@@ -58,6 +59,23 @@ def test_eigensolver_called_from_linalg_only():
     callers = sorted(path.name for path in SRC.glob("*.py")
                      if EIGENSOLVER.search(path.read_text()))
     assert callers == ["linalg.py"]
+
+
+def test_thresholds_are_module_constants():
+    # a threshold written as 1e-9 inside a function is a second copy of a
+    # tolerance; each one is a named module constant instead
+    literals = set()
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        for fn in ast.walk(ast.parse(text)):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in (n for stmt in fn.body for n in ast.walk(stmt)):
+                if isinstance(node, ast.Constant) and isinstance(node.value, float):
+                    source = ast.get_source_segment(text, node)
+                    if "e" in source.lower():
+                        literals.add(f"{path.name}:{node.lineno}: {source}")
+    assert sorted(literals) == []
 
 
 @pytest.mark.parametrize("rho", [
