@@ -16,7 +16,7 @@ from scipy.sparse.csgraph import connected_components
 
 from . import linalg
 from .dynamics import UnitaryOp
-from .errors import DimensionMismatch, ZeroProbabilityLabel
+from .errors import DimensionMismatch, UnknownLabel, ZeroProbabilityLabel
 from .iop import InfoOperator, condition, validate
 from .serialize import fields_of, matrix_from_json, matrix_to_json
 
@@ -135,24 +135,41 @@ def label_probabilities(rho: InfoOperator, c: CondensationStructure):
     ]
 
 
+def _blocks(c: CondensationStructure):
+    """The block basis as one isometry B_m (d x rank) per label, in label order."""
+    return np.split(c.basis, np.cumsum(c.ranks)[:-1], axis=1)
+
+
 def condition_on_label(rho: InfoOperator, c: CondensationStructure, m) -> InfoOperator:
-    """P^m rho P^m, renormalized: the description after learning the label."""
+    """P^m rho P^m, renormalized: the description after learning the label.
+
+    With P^m = B_m B_m^dag, the spectral form is (w, B_m Q) for the
+    eigendecomposition Q w Q^dag of the rank x rank block B_m^dag rho B_m.
+    """
     _check_dims(rho, c)
     try:
-        p = c.projectors[c.labels.index(m)]
+        b = _blocks(c)[c.labels.index(m)]
     except ValueError:
-        raise KeyError(f"unknown label {m!r}") from None
-    weight, block = condition(rho.matrix, p)
+        raise UnknownLabel(f"unknown label {m!r}") from None
+    weight, block = condition(rho.matrix, b.conj().T)
     if block is None:
         raise ZeroProbabilityLabel(f"label {m!r} has weight {weight:.3e}")
-    return validate(block)
+    w, q = linalg.eigh(block)
+    return validate(linalg.HermEigen(w, b @ q))
 
 
 def block_projected(rho: InfoOperator, c: CondensationStructure) -> InfoOperator:
-    """sum_m P^m rho P^m: rho with inter-subspace coherences removed."""
+    """sum_m P^m rho P^m: rho with inter-subspace coherences removed.
+
+    Its spectrum is the union of the spectra of the blocks B_m^dag rho B_m.
+    """
     _check_dims(rho, c)
-    total = sum(p @ rho.matrix @ p for p in c.projectors)
-    return validate(total)
+    blocks = _blocks(c)
+    spectra = [linalg.eigh(b.conj().T @ rho.matrix @ b) for b in blocks]
+    w = np.concatenate([s.eigenvalues for s in spectra])
+    v = np.hstack([b @ s.eigenvectors for b, s in zip(blocks, spectra)])
+    order = np.argsort(w, kind="stable")
+    return validate(linalg.HermEigen(w[order], v[:, order]))
 
 
 def is_condensed_form(rho: InfoOperator, c: CondensationStructure) -> bool:

@@ -18,7 +18,6 @@ from .config import get_hbar
 from .errors import DimensionMismatch, InsufficientPoints, NotUnitary
 from .iop import InfoOperator, validate
 
-UNITARITY_TOL = 1e-9
 TIME_SPACING_RTOL = 1e-9  # np.allclose bounds on uneven trajectory time steps
 TIME_SPACING_ATOL = 1e-12
 
@@ -50,15 +49,22 @@ def unitary(m) -> UnitaryOp:
     a = linalg.as_cmatrix(m)
     d = linalg.require_square(a)
     defect = linalg.unitarity_defect(a)
-    if defect > UNITARITY_TOL:
+    if defect > linalg.UNITARITY_TOL:
         raise NotUnitary(f"unitarity defect {defect:.3e}")
     return UnitaryOp(dim=d, matrix=a)
 
 
 def evolve(rho: InfoOperator, u: UnitaryOp) -> InfoOperator:
+    """U rho U^dag, validated as the spectral form (w, U V) of rho's (w, V).
+
+    No eigensolver runs: the eigenvalues carry over and the eigenvectors
+    rotate, O(d^2 r) for a rank-r spectrum.  validate's isometry check on
+    U V catches a UnitaryOp that is not unitary.
+    """
     if rho.dim != u.dim:
         raise DimensionMismatch(f"operator dim {rho.dim} != unitary dim {u.dim}")
-    return validate(u.matrix @ rho.matrix @ u.matrix.conj().T)
+    w, v = rho.spectrum
+    return validate(linalg.HermEigen(w, u.matrix @ v))
 
 
 def propagator(h: HamiltonianOp, t0: float, t1: float) -> UnitaryOp:

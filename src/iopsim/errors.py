@@ -53,6 +53,12 @@ class ZeroProbabilityOutcome(ZeroWeight):
     pass
 
 
+class UnknownLabel(IopsimError, KeyError):
+    """A label that the structure or measurement system does not have."""
+
+    __str__ = IopsimError.__str__  # the message, not KeyError's repr of it
+
+
 class NotDefinitive(IopsimError):
     pass
 

@@ -37,13 +37,24 @@ ZERO_WEIGHT_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class InfoOperator:
-    """Validated i-operator: built by validate, max_iop or pure_iop only."""
+    """Validated i-operator: built by validate, max_iop or pure_iop only.
+
+    `spectrum` is its spectral form as the constructor found it, with
+    nonnegative ascending eigenvalues; it may be thin (pure_iop keeps
+    one column).  `eig()` is the full decomposition of `matrix`.
+    """
 
     dim: int
     matrix: np.ndarray
+    spectrum: linalg.HermEigen
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
+        # read-only views: a caller's own arrays stay writable
+        frozen = tuple(a.view() for a in self.spectrum)
+        for a in frozen:
+            a.setflags(write=False)
+        object.__setattr__(self, "spectrum", linalg.HermEigen(*frozen))
 
     def eig(self) -> linalg.HermEigen:
         # each constructor yields an exactly Hermitian matrix: nothing to check
@@ -60,34 +71,51 @@ class Contraction:
 
 
 def validate(m) -> InfoOperator:
-    """Validate a matrix as an i-operator.
+    """Validate a matrix, or a spectral form `linalg.HermEigen`, as an i-operator.
 
     Eigenvalues in [-POSITIVITY_TOL, 0) are clamped to zero and the trace
     renormalized; anything below the tolerance raises NotPositive.  This
     keeps operators produced by long evolutions and Kraus maps usable
-    without silently accepting genuinely indefinite matrices.
+    without silently accepting genuinely indefinite matrices.  A spectral
+    form needs no eigensolver: its eigenvectors are checked to be
+    orthonormal and the matrix is built from it before the trace check,
+    so the trace checked is that of the matrix stored, sum_i w_i |v_i|^2.
     """
-    a = linalg.hermitian(m)
-    a = (a + a.conj().T) / 2
+    if isinstance(m, linalg.HermEigen):
+        w, v = linalg.checked_spectrum(m)
+        a = _from_spectrum(w, v)
+    else:
+        a = linalg.hermitian(m)
+        a = (a + a.conj().T) / 2
+        w = None
     tr = float(np.trace(a).real)
     if abs(tr - 1.0) > TRACE_TOL:
         raise TraceNotOne(f"trace {tr!r} differs from 1 by {abs(tr - 1.0):.3e}")
-    w, v = linalg.eigh(a)
+    if w is None:
+        w, v = linalg.eigh(a)
     if w[0] < -POSITIVITY_TOL:
         raise NotPositive(f"minimum eigenvalue {w[0]:.3e}")
     if w[0] < 0:
         w = np.clip(w, 0.0, None)
-        a = (v * w) @ v.conj().T
-        a = (a + a.conj().T) / 2
-        a = a / float(np.trace(a).real)
-    return InfoOperator(dim=a.shape[0], matrix=a)
+        a = _from_spectrum(w, v)
+        tr = float(np.trace(a).real)
+        a, w = a / tr, w / tr
+    return InfoOperator(dim=a.shape[0], matrix=a, spectrum=linalg.HermEigen(w, v))
+
+
+def _from_spectrum(w, v) -> np.ndarray:
+    """(V w) V^dag, symmetrized so that it is exactly Hermitian."""
+    a = (v * w) @ v.conj().T
+    return (a + a.conj().T) / 2
 
 
 def max_iop(d: int) -> InfoOperator:
     """The maximum i-operator (1/d) I; it describes every d-dim system."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    return InfoOperator(dim=d, matrix=np.eye(d, dtype=complex) / d)
+    return InfoOperator(dim=d, matrix=np.eye(d, dtype=complex) / d,
+                        spectrum=linalg.HermEigen(np.full(d, 1.0 / d),
+                                                  np.eye(d, dtype=complex)))
 
 
 def pure_iop(psi) -> InfoOperator:
@@ -99,7 +127,8 @@ def pure_iop(psi) -> InfoOperator:
     if n == 0:
         raise ZeroVector("zero vector has no associated pure operator")
     v = v / n
-    return InfoOperator(dim=v.size, matrix=np.outer(v, v.conj()))
+    return InfoOperator(dim=v.size, matrix=np.outer(v, v.conj()),
+                        spectrum=linalg.HermEigen(np.ones(1), v[:, None]))
 
 
 def condition(m: np.ndarray, k=None):
@@ -114,14 +143,13 @@ def condition(m: np.ndarray, k=None):
 
 def entropy(rho: InfoOperator) -> float:
     """-tr(rho log rho), with 0 log 0 = 0.  Lies in [0, log dim]."""
-    w = linalg.eigh(rho.matrix, vectors=False)
-    w = np.clip(w, 0.0, None)
+    w = rho.spectrum.eigenvalues
     nz = w[w > 0]
     return float(-np.sum(nz * np.log(nz)))
 
 
 def is_pure(rho: InfoOperator) -> bool:
-    purity = float(np.trace(rho.matrix @ rho.matrix).real)
+    purity = float(np.sum(rho.spectrum.eigenvalues ** 2))
     return abs(purity - 1.0) <= PURITY_TOL
 
 
@@ -140,9 +168,9 @@ def contract(rho: InfoOperator, k: Contraction) -> InfoOperator:
 
 def contraction_from_max(target: InfoOperator) -> Contraction:
     """K mapping the maximum i-operator to `target`: V diag(sqrt(lam d)) V^dag."""
-    w, v = target.eig()
+    w, v = target.spectrum
     d = target.dim
-    scales = np.sqrt(np.clip(w, 0.0, None) * d)
+    scales = np.sqrt(w * d)
     k = (v * scales) @ v.conj().T
     return Contraction(k=k, source_dim=d, target_dim=d)
 
@@ -152,19 +180,16 @@ def contraction_from_mixture(whole: InfoOperator, part: InfoOperator) -> Contrac
 
     Valid whenever `part` appears in some convex mixture equal to `whole`,
     which is checked operationally as support(part) within support(whole).
-    Both spectra are taken in ascending order; eigenvalue ratios set the
-    scale factors, with a zero factor wherever `whole` has (numerically)
-    zero weight.
+    The stored spectra, thin or not, are paired from the top (an absent
+    eigenvalue is zero); eigenvalue ratios set the scale factors, with a
+    zero factor wherever `whole` has (numerically) zero weight.
     """
     if whole.dim != part.dim:
         raise DimensionMismatch(f"dims differ: {whole.dim} vs {part.dim}")
-    ww, wv = whole.eig()
-    ok = ww > SUPPORT_EIGENVALUE_FLOOR
-    sup = wv[:, ok]
-    pw, pv = part.eig()
-    for i in range(part.dim):
-        if pw[i] <= SUPPORT_EIGENVALUE_FLOOR:
-            continue
+    ww, wv = whole.spectrum
+    pw, pv = part.spectrum
+    sup = wv[:, ww > SUPPORT_EIGENVALUE_FLOOR]
+    for i in np.flatnonzero(pw > SUPPORT_EIGENVALUE_FLOOR):
         vec = pv[:, i]
         residual = float(np.linalg.norm(vec - sup @ (sup.conj().T @ vec)))
         if residual > SUPPORT_RESIDUAL_TOL:
@@ -172,8 +197,10 @@ def contraction_from_mixture(whole: InfoOperator, part: InfoOperator) -> Contrac
                 f"part eigenvector {i} lies outside the mixture's support "
                 f"(residual {residual:.3e})"
             )
-    ratios = np.zeros(whole.dim)
-    ratios[ok] = np.clip(pw[ok], 0.0, None) / ww[ok]
+    n = min(ww.size, pw.size)
+    ww, wv, pw, pv = ww[-n:], wv[:, -n:], pw[-n:], pv[:, -n:]
+    ok = ww > SUPPORT_EIGENVALUE_FLOOR
+    ratios = np.divide(pw, ww, out=np.zeros(n), where=ok)
     k = (pv * np.sqrt(ratios)) @ wv.conj().T
     return Contraction(k=k, source_dim=whole.dim, target_dim=whole.dim)
 

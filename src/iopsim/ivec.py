@@ -52,8 +52,7 @@ def from_iop(rho: InfoOperator) -> InfoVector:
     """Gauge-fixed agent of a pure operator; its top eigenvector."""
     if not is_pure(rho):
         raise NotPure("only pure i-operators have a vector agent")
-    w, vecs = rho.eig()
-    return gauge_fix(vecs[:, -1])
+    return gauge_fix(rho.spectrum.eigenvectors[:, -1])
 
 
 def superpose(terms) -> InfoVector:

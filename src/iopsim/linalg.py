@@ -14,16 +14,27 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import DIM_CAP, get_hbar
-from .errors import DimensionMismatch, NoConvergence, NotFinite, NotHermitian
+from .errors import (
+    DimensionMismatch,
+    NoConvergence,
+    NotFinite,
+    NotHermitian,
+    NotUnitary,
+)
 
 HERMITICITY_TOL = 1e-10
+UNITARITY_TOL = 1e-9  # bound on ||V^dag V - I|| for unitaries and isometries
 
 
 class HermEigen(NamedTuple):
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
+    """Spectral form sum_i w_i v_i v_i^dag, eigenvalues ascending.
 
-    eigenvalues: np.ndarray   # real, ascending
-    eigenvectors: np.ndarray  # orthonormal columns
+    `eigenvectors` may be thin: r <= d orthonormal columns, one per
+    eigenvalue, spanning a subspace that holds the whole operator.
+    """
+
+    eigenvalues: np.ndarray   # real, ascending, length r
+    eigenvectors: np.ndarray  # d x r, orthonormal columns
 
 
 def as_cmatrix(entries) -> np.ndarray:
@@ -123,5 +134,26 @@ def frobenius_dist(a, b) -> float:
 
 
 def unitarity_defect(u: np.ndarray) -> float:
-    n = require_square(u)
-    return float(np.linalg.norm(u.conj().T @ u - np.eye(n)))
+    """||U^dag U - I||; for a thin U (d x r) this is its isometry defect."""
+    return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[1])))
+
+
+def checked_spectrum(e: HermEigen) -> HermEigen:
+    """`e` with finite, ascending eigenvalues and isometric eigenvectors.
+
+    The eigenvector columns must be orthonormal to UNITARITY_TOL
+    (NotUnitary otherwise), one per eigenvalue and no more than rows.
+    """
+    w = np.asarray(e.eigenvalues, dtype=float)
+    v = as_cmatrix(e.eigenvectors)
+    if w.ndim != 1 or w.size != v.shape[1] or w.size > v.shape[0]:
+        raise DimensionMismatch(
+            f"{np.shape(w)} eigenvalues for eigenvectors of shape {v.shape}")
+    if not np.all(np.isfinite(w)):
+        raise NotFinite("eigenvalues contain NaN or Inf")
+    if np.any(np.diff(w) < 0):
+        raise ValueError("eigenvalues must be in ascending order")
+    defect = unitarity_defect(v)
+    if defect > UNITARITY_TOL:
+        raise NotUnitary(f"isometry defect {defect:.3e}")
+    return HermEigen(w, v)

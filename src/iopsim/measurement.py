@@ -23,6 +23,7 @@ from .errors import (
     DimensionMismatch,
     NotDefinitive,
     NotHermitian,
+    UnknownLabel,
     ZeroProbabilityOutcome,
 )
 from .iop import SUPPORT_EIGENVALUE_FLOOR, InfoOperator, condition, validate
@@ -122,7 +123,7 @@ def post_measurement_object(ms: MeasurementSystem, rho: InfoOperator, m) -> Info
     try:
         k = ms.kraus[ms.labels.index(m)]
     except ValueError:
-        raise KeyError(f"unknown label {m!r}") from None
+        raise UnknownLabel(f"unknown label {m!r}") from None
     weight, block = condition(rho.matrix, k)
     if block is None:
         raise ZeroProbabilityOutcome(f"outcome {m!r} has probability {weight:.3e}")
@@ -182,15 +183,15 @@ def kraus_from_branches(branches, whole: InfoOperator, f=None) -> MeasurementSys
     pairing free inside degenerate eigenspaces and need not be complete;
     this square-root form fixes the pairing canonically.
     """
-    w, v = whole.eig()
+    w, v = whole.spectrum
     inv_sqrt = np.zeros_like(w)
     pos = w > SUPPORT_EIGENVALUE_FLOOR
     inv_sqrt[pos] = 1.0 / np.sqrt(w[pos])
     whole_m12 = (v * inv_sqrt) @ v.conj().T
     labels, kraus = [], []
     for br in branches:
-        bw, bv = br.rho_s.eig()
-        root = (bv * np.sqrt(np.clip(bw, 0.0, None) * br.weight)) @ bv.conj().T
+        bw, bv = br.rho_s.spectrum
+        root = (bv * np.sqrt(bw * br.weight)) @ bv.conj().T
         labels.append(br.label)
         kraus.append(root @ whole_m12)
     fmap = f if f is not None else {m: float(i) for i, m in enumerate(labels)}

@@ -55,6 +55,15 @@ class TestRun:
         assert run_cli(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_module_entry_point(self):
+        # an uninstalled checkout runs the CLI as `python -m iopsim`
+        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+        proc = subprocess.run([sys.executable, "-m", "iopsim", "run", "cat"],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "all checks passed"
+
     def test_impossible_tolerance_exits_two(self, capsys):
         code = run_cli(["run", "spin-one", "--tol",
                         "max_contracts_to_mixture=1e-300"])

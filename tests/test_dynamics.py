@@ -141,6 +141,14 @@ class TestUnitaryCheck:
             unitary(np.diag([1.0, 2.0]))
         assert issubclass(NotUnitary, IopsimError)
 
+    def test_evolve_checks_the_isometry(self):
+        # unit columns at 45 degrees: U rho U^dag keeps trace and positivity
+        # for rho = I/2, so only the isometry check can reject it
+        s = 1 / math.sqrt(2)
+        u = UnitaryOp(dim=2, matrix=np.array([[1.0, s], [0.0, s]], dtype=complex))
+        with pytest.raises(NotUnitary, match="isometry defect"):
+            evolve(max_iop(2), u)
+
     def test_unitary_accepted(self, rng):
         u = random_unitary(rng, 3).matrix
         assert np.array_equal(unitary(u).matrix, u)

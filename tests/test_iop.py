@@ -8,20 +8,31 @@ from hypothesis import strategies as st
 
 from iopsim import linalg
 from iopsim.composite import CompositeSpec, branch_decompose
-from iopsim.condensation import CondensationStructure, condition_on_label
+from iopsim.condensation import (
+    CondensationStructure,
+    block_projected,
+    condition_on_label,
+)
+from iopsim.dynamics import evolve
 from iopsim.errors import (
+    DimensionMismatch,
+    IopsimError,
     NoConvergence,
     NotFinite,
     NotPositive,
+    NotUnitary,
     ResultNotIOperator,
     SupportViolation,
     TraceNotOne,
+    UnknownLabel,
     ZeroProbabilityLabel,
     ZeroProbabilityOutcome,
     ZeroVector,
     ZeroWeight,
 )
 from iopsim.iop import (
+    POSITIVITY_TOL,
+    SUPPORT_EIGENVALUE_FLOOR,
     ZERO_WEIGHT_FLOOR,
     Contraction,
     Mixture,
@@ -39,6 +50,7 @@ from iopsim.iop import (
 from iopsim.measurement import MeasurementSystem, post_measurement_object
 
 from conftest import random_iop, random_pure, random_unitary
+from test_condensation import rotated_structure
 
 
 class TestValidate:
@@ -286,3 +298,145 @@ class TestConditioning:
         assert [b.label for b in branch_decompose(rho, spec).branches] == ["+"]
         assert issubclass(ZeroProbabilityLabel, ZeroWeight)
         assert issubclass(ZeroProbabilityOutcome, ZeroWeight)
+
+    def test_unknown_label_is_typed(self):
+        ms = MeasurementSystem.projective(
+            {"up": np.diag([1.0, 0.0]), "down": np.diag([0.0, 1.0])})
+        structure = CondensationStructure.from_index_blocks(2, {"+": [0], "-": [1]})
+        with pytest.raises(IopsimError, match="unknown label 'zz'"):
+            post_measurement_object(ms, max_iop(2), "zz")
+        with pytest.raises(IopsimError, match="unknown label 'zz'"):
+            condition_on_label(max_iop(2), structure, "zz")
+        assert issubclass(UnknownLabel, KeyError)
+
+
+KINDS = ["rank1", "straddling", "clamped", "generic"]
+
+
+def raw_spectrum(rng, d, kind):
+    """(w, V): ascending eigenvalues summing to 1 and orthonormal columns.
+
+    rank1 is thin (one column); straddling puts one eigenvalue just below
+    or just above SUPPORT_EIGENVALUE_FLOOR; clamped has a minimum
+    eigenvalue in [-POSITIVITY_TOL, 0), which validate clamps to zero.
+    """
+    v = random_unitary(rng, d).matrix
+    if kind == "rank1":
+        return np.ones(1), v[:, :1]
+    low = {"straddling": [rng.choice([0.5, 2.0]) * SUPPORT_EIGENVALUE_FLOOR],
+           "clamped": [-rng.uniform(0.01, 1.0) * POSITIVITY_TOL],
+           "generic": []}[kind]
+    rest = rng.dirichlet(np.ones(d - len(low))) * (1.0 - sum(low))
+    return np.sort(np.concatenate([low, rest])), v
+
+
+def dense(w, v):
+    return (v * w) @ v.conj().T
+
+
+def round_trip(whole, k):
+    """K whole K^dag before validation, which renormalizes only if it clamps."""
+    return k @ whole.matrix @ k.conj().T
+
+
+def dense_mixture_contraction(whole, part):
+    """K from both full decompositions, paired in ascending order: the
+    oracle for contraction_from_mixture on stored, possibly thin, spectra."""
+    ww, wv = np.linalg.eigh(whole.matrix)
+    pw, pv = np.linalg.eigh(part.matrix)
+    ok = ww > SUPPORT_EIGENVALUE_FLOOR
+    ratios = np.zeros(whole.dim)
+    ratios[ok] = np.clip(pw[ok], 0.0, None) / ww[ok]
+    return (pv * np.sqrt(ratios)) @ wv.conj().T
+
+
+class TestSpectralForm:
+    """Paths that read or build a stored spectrum against dense validation."""
+
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 6),
+           kind=st.sampled_from(KINDS))
+    @settings(max_examples=120, deadline=None)
+    def test_validate_matches_dense(self, seed, d, kind):
+        w, v = raw_spectrum(np.random.default_rng(seed), d, kind)
+        fast = validate(linalg.HermEigen(w, v))
+        assert linalg.frobenius_dist(fast.matrix, validate(dense(w, v)).matrix) <= 1e-12
+        assert fast.spectrum.eigenvalues[0] >= 0
+        assert abs(np.sum(fast.spectrum.eigenvalues) - 1.0) <= 1e-12
+
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 6),
+           kind=st.sampled_from(KINDS))
+    @settings(max_examples=120, deadline=None)
+    def test_evolve_matches_dense(self, seed, d, kind):
+        rng = np.random.default_rng(seed)
+        rho = validate(linalg.HermEigen(*raw_spectrum(rng, d, kind)))
+        u = random_unitary(rng, d)
+        for r in (rho, validate(rho.matrix)):
+            dense_out = validate(u.matrix @ r.matrix @ u.matrix.conj().T)
+            assert linalg.frobenius_dist(evolve(r, u).matrix, dense_out.matrix) <= 1e-12
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           ranks=st.lists(st.integers(0, 3), min_size=2, max_size=4).filter(
+               lambda ranks: sum(ranks) >= 2),
+           kind=st.sampled_from(KINDS))
+    @settings(max_examples=120, deadline=None)
+    def test_conditioning_and_thin_parts_match_dense(self, seed, ranks, kind):
+        rng = np.random.default_rng(seed)
+        c, _, _ = rotated_structure(rng, ranks)
+        rho = validate(linalg.HermEigen(*raw_spectrum(rng, c.dim, kind)))
+        whole = block_projected(rho, c)
+        oracle = sum(p @ rho.matrix @ p for p in c.projectors)
+        assert linalg.frobenius_dist(whole.matrix, validate(oracle).matrix) <= 1e-12
+        for m, p, rank in zip(c.labels, c.projectors, c.ranks):
+            block = condition(rho.matrix, p)[1]
+            if block is None:
+                continue
+            part = condition_on_label(rho, c, m)
+            assert part.spectrum.eigenvectors.shape == (c.dim, rank)
+            assert linalg.frobenius_dist(part.matrix, validate(block).matrix) <= 1e-12
+            k = contraction_from_mixture(whole, part).k
+            assert linalg.frobenius_dist(
+                round_trip(whole, k),
+                round_trip(whole, dense_mixture_contraction(whole, part))) <= 1e-12
+
+    def test_thin_part_of_a_rank_deficient_whole(self):
+        # whole has rank 2 in d = 4; the thin part must pair with its top
+        a, b = np.eye(4)[0], np.eye(4)[2]
+        whole = validate(0.3 * np.outer(a, a) + 0.7 * np.outer(b, b))
+        for psi in (a, b):
+            part = pure_iop(psi)
+            back = contract(whole, contraction_from_mixture(whole, part))
+            assert linalg.frobenius_dist(back.matrix, part.matrix) <= 1e-12
+
+    @pytest.mark.parametrize("v", [np.array([[1.0, 0.6], [0.0, 0.8]]),
+                                   2 * np.eye(2)[:, :1]],
+                             ids=["not-orthogonal", "not-unit"])
+    def test_non_isometric_eigenvectors_rejected(self, v):
+        with pytest.raises(NotUnitary, match="isometry defect"):
+            validate(linalg.HermEigen(np.full(v.shape[1], 1.0 / v.shape[1]), v))
+
+    def test_trace_is_that_of_the_matrix_built(self):
+        # columns of squared norm 1 + 5e-10 pass the isometry check (defect
+        # 7.1e-10) but lift the trace past TRACE_TOL although sum(w) is 1
+        v = math.sqrt(1 + 5e-10) * np.eye(2)
+        with pytest.raises(TraceNotOne):
+            validate(linalg.HermEigen(np.array([0.5, 0.5]), v))
+
+    @pytest.mark.parametrize("w, v, error, message", [
+        ([0.6, 0.4], np.eye(2), ValueError, "ascending"),
+        ([0.5, np.nan], np.eye(2), NotFinite, "NaN"),
+        ([1.0], np.eye(2), DimensionMismatch, "eigenvalues for eigenvectors"),
+    ], ids=["descending", "nan", "one-value-two-columns"])
+    def test_malformed_spectrum_rejected(self, w, v, error, message):
+        with pytest.raises(error, match=message):
+            validate(linalg.HermEigen(np.array(w), v))
+
+    @pytest.mark.parametrize("make", [
+        lambda: validate(np.diag([0.7, 0.2, 0.1]).astype(complex)),
+        lambda: max_iop(3),
+        lambda: pure_iop([1, 1j, 0.5]),
+    ], ids=["validate", "max-iop", "pure-iop"])
+    def test_every_constructor_stores_its_spectrum(self, make):
+        rho = make()
+        w, v = rho.spectrum
+        assert linalg.frobenius_dist(dense(w, v), rho.matrix) <= 1e-15
+        assert not (w.flags.writeable or v.flags.writeable)
