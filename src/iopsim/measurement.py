@@ -105,29 +105,40 @@ def is_definitive(ms: MeasurementSystem) -> bool:
 def outcome_probabilities(ms: MeasurementSystem, rho: InfoOperator):
     """tr(M^m rho (M^m)^dag) per label; sums to 1 for definitive systems.
 
-    Each is the inner product <M^m, M^m rho>, which equals that trace with
-    one matrix product instead of two.
+    Read from rho's spectral form (w, V): each is sum_j w_j |M^m v_j|^2,
+    from one batched product M V, so a rank-r operator costs O(d^2 r) per
+    label.
     """
     if rho.dim != ms.dim_s:
         raise DimensionMismatch(f"operator dim {rho.dim} != system dim {ms.dim_s}")
-    return [
-        (m, float(np.vdot(k, k @ rho.matrix).real))
-        for m, k in zip(ms.labels, ms.kraus)
-    ]
+    w, v = rho.spectrum
+    kv = np.matmul(ms.kraus, v)
+    probs = np.einsum("mij,mij->mj", kv.conj(), kv).real @ w
+    return [(m, float(p)) for m, p in zip(ms.labels, probs)]
 
 
 def post_measurement_object(ms: MeasurementSystem, rho: InfoOperator, m) -> InfoOperator:
-    """The description adopted once the scale value m is known."""
+    """The description adopted once the scale value m is known.
+
+    Built from rho's spectral form (w, V) with no d x d eigensolver: a
+    thin QR of K V sqrt(w) = Q R gives K rho K^dag = Q (R R^dag) Q^dag, so
+    only the r x r block R R^dag is conditioned and diagonalized,
+    S lam S^dag, and the result is the spectral form (lam, Q S).  A
+    rank-r rho costs O(d^2 r).
+    """
     if rho.dim != ms.dim_s:
         raise DimensionMismatch(f"operator dim {rho.dim} != system dim {ms.dim_s}")
     try:
         k = ms.kraus[ms.labels.index(m)]
     except ValueError:
         raise UnknownLabel(f"unknown label {m!r}") from None
-    weight, block = condition(rho.matrix, k)
+    w, v = rho.spectrum
+    q, r = np.linalg.qr((k @ v) * np.sqrt(w))
+    weight, block = condition(r @ r.conj().T)
     if block is None:
         raise ZeroProbabilityOutcome(f"outcome {m!r} has probability {weight:.3e}")
-    return validate(block)
+    lam, s = linalg.eigh(block)
+    return validate(linalg.HermEigen(lam, q @ s))
 
 
 def observable(ms: MeasurementSystem) -> Observable:

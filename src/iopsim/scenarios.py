@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import composite, condensation, dynamics, ivec, linalg, measurement
-from .config import DIM_CAP
+from .config import DIM_CAP, get_hbar
 from .errors import BadParameter, BadSlitGeometry, SupportViolation
 from .iop import (
     ZERO_WEIGHT_FLOOR,
@@ -447,30 +447,36 @@ TWO_SLIT_DEFAULT_STEPS = 40
 TWO_SLIT_DEFAULT_SLITS = ((40, 44), (84, 88))
 
 
-def _ring_hamiltonian(grid_n: int) -> dynamics.HamiltonianOp:
-    # nearest-neighbor hopping, periodic; the absorbed flag dim is decoupled
-    h = np.zeros((grid_n + 1, grid_n + 1), dtype=complex)
-    for j in range(grid_n):
-        h[j, (j + 1) % grid_n] = -1.0
-        h[(j + 1) % grid_n, j] = -1.0
-    return dynamics.hamiltonian(h)
+def _ring_propagator(grid_n: int, t: float) -> dynamics.UnitaryOp:
+    """exp(-i t H / hbar) for nearest-neighbour hopping on the periodic grid.
+
+    H is circulant, so the DFT diagonalizes it with eigenvalues
+    -2 cos(2 pi k / n): the propagator is the circulant whose first column
+    is the inverse DFT of the phases, O(n^2) with no eigensolver.  The
+    absorbed flag dimension is decoupled and stays fixed.
+    """
+    k = np.arange(grid_n)
+    energies = -2.0 * np.cos(2 * np.pi * k / grid_n)
+    column = np.fft.ifft(np.exp(-1j * t * energies / get_hbar()))
+    u = np.zeros((grid_n + 1, grid_n + 1), dtype=complex)
+    u[:grid_n, :grid_n] = column[(k[:, None] - k) % grid_n]
+    u[grid_n, grid_n] = 1.0
+    return dynamics.UnitaryOp(dim=grid_n + 1, matrix=u)
 
 
 def _slit_screen(grid_n: int, slit_sites) -> measurement.MeasurementSystem:
     dim = grid_n + 1
     p_pass = np.zeros((dim, dim), dtype=complex)
-    for j in slit_sites:
-        p_pass[j, j] = 1.0
+    p_pass[slit_sites, slit_sites] = 1.0
     m_abs = np.eye(dim, dtype=complex) - p_pass
-    blocked_sites = [j for j in range(grid_n) if j not in slit_sites]
-    if blocked_sites:
+    blocked = np.ones(grid_n, dtype=bool)
+    blocked[slit_sites] = False
+    if blocked.any():
         # route one blocked mode into the absorbed flag dimension so the
-        # non-passage outcome populates the sink subspace
-        j0 = blocked_sites[0]
-        swap = np.eye(dim, dtype=complex)
-        swap[j0, j0] = swap[grid_n, grid_n] = 0.0
-        swap[j0, grid_n] = swap[grid_n, j0] = 1.0
-        m_abs = swap @ m_abs
+        # non-passage outcome populates the sink subspace: swap its row
+        # with the flag's
+        j0 = int(np.argmax(blocked))
+        m_abs[[j0, grid_n]] = m_abs[[grid_n, j0]]
     return measurement.MeasurementSystem(
         dim_s=dim, labels=("pass", "abs"), kraus=(p_pass, m_abs),
         f={"pass": 1.0, "abs": 0.0})
@@ -495,7 +501,7 @@ def two_slit(grid_n: int = 128, p_pass=None,
     the screen is a modeling assumption, not a derived property.
     """
     # the grid plus the absorbed flag dimension must fit under DIM_CAP; checked
-    # before the dense (grid_n + 1)^2 screen and Hamiltonian are allocated
+    # before the dense (grid_n + 1)^2 screen and propagator are allocated
     if not 16 <= grid_n < DIM_CAP:
         raise BadSlitGeometry(f"grid_n must be in [16, {DIM_CAP - 1}], got {grid_n}")
     slits = [(int(a), int(b)) for a, b in slit_positions]
@@ -535,17 +541,20 @@ def two_slit(grid_n: int = 128, p_pass=None,
     psi_pass = screen.kraus[0] @ psi_in
     geom_p = float(np.vdot(psi_pass, psi_pass).real)
     prior_p = geom_p if p_pass is None else float(p_pass)
-    rho_passage = pure_iop(psi_pass)
-    rho_absorbed = pure_iop([0.0] * grid_n + [1.0])
-    rho_prior = validate(prior_p * rho_passage.matrix
-                         + (1 - prior_p) * rho_absorbed.matrix)
+    # the prior in spectral form: 1 - p on the absorbed flag, p on the
+    # passed vector, eigenvalues ascending
+    e_abs = np.zeros(dim, dtype=complex)
+    e_abs[grid_n] = 1.0
+    prior_w = np.array([1 - prior_p, prior_p])
+    prior_v = np.column_stack([e_abs, psi_pass / math.sqrt(geom_p)])
+    order = np.argsort(prior_w, kind="stable")
+    rho_prior = validate(linalg.HermEigen(prior_w[order], prior_v[:, order]))
 
     probs = dict(measurement.outcome_probabilities(screen, rho_prior))
     ck.residual("conditioned_passage_probability", abs(probs["pass"] - prior_p))
     rho_b = measurement.post_measurement_object(screen, rho_prior, "pass")
 
-    ham = _ring_hamiltonian(grid_n)
-    u = dynamics.propagator(ham, 0.0, steps * TWO_SLIT_DT)
+    u = _ring_propagator(grid_n, steps * TWO_SLIT_DT)
 
     # coherent route: propagate the passed information vector
     v_b = ivec.gauge_fix(psi_pass)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iopsim import linalg
+from iopsim import linalg, scenarios
 from iopsim.composite import Branch
 from iopsim.errors import (
     NotDefinitive,
@@ -13,7 +13,14 @@ from iopsim.errors import (
     SupportViolation,
     ZeroProbabilityOutcome,
 )
-from iopsim.iop import contraction_from_mixture, max_iop, pure_iop, validate
+from iopsim.iop import (
+    ZERO_WEIGHT_FLOOR,
+    condition,
+    contraction_from_mixture,
+    max_iop,
+    pure_iop,
+    validate,
+)
 from iopsim.measurement import (
     MeasurementSystem,
     completeness_defect,
@@ -27,6 +34,7 @@ from iopsim.measurement import (
 )
 
 from conftest import random_iop, random_pure, random_unitary
+from test_iop import KINDS, raw_spectrum
 
 
 @pytest.fixture
@@ -131,6 +139,88 @@ class TestPostMeasurement:
     def test_unknown_label(self, z_system):
         with pytest.raises(KeyError):
             post_measurement_object(z_system, max_iop(2), "sideways")
+
+
+RHO_KINDS = ["rank2", *KINDS]
+FAMILIES = ["projective", "unitary-projector", "branches", "screen"]
+
+
+def spectral_operator(rng, d, kind):
+    """validate of a spectral form: thin rank 1 or 2, straddling the support
+    floor, clamped, or generic full rank (see test_iop.raw_spectrum)."""
+    if kind == "rank2":
+        v = random_unitary(rng, d).matrix[:, :2]
+        return validate(linalg.HermEigen(np.sort(rng.dirichlet(np.ones(2))), v))
+    return validate(linalg.HermEigen(*raw_spectrum(rng, d, kind)))
+
+
+def kraus_family(rng, d, family):
+    if family == "screen":
+        sites = rng.choice(d - 1, size=rng.integers(1, d), replace=False)
+        return scenarios._slit_screen(d - 1, np.sort(sites).tolist())
+    if family == "branches":
+        comps = [random_iop(rng, d) for _ in range(2)]
+        weights = rng.dirichlet(np.ones(2))
+        whole = validate(sum(w * c.matrix for w, c in zip(weights, comps)))
+        return kraus_from_branches(
+            [Branch(label=str(i), weight=float(w), rho_s=c, rho_t=c, residual=0.0)
+             for i, (w, c) in enumerate(zip(weights, comps))], whole)
+    basis = random_unitary(rng, d).matrix
+    cuts = np.sort(rng.choice(np.arange(1, d), size=rng.integers(0, d),
+                              replace=False))
+    kraus = [basis[:, g] @ basis[:, g].conj().T
+             for g in np.split(np.arange(d), cuts)]
+    if family == "unitary-projector":
+        kraus = [random_unitary(rng, d).matrix @ k for k in kraus]
+    return MeasurementSystem(dim_s=d, labels=tuple(range(len(kraus))),
+                             kraus=tuple(kraus), f={})
+
+
+class TestSpectralMeasurement:
+    """outcome_probabilities and post_measurement_object read rho.spectrum;
+    the oracles are the dense tr(K rho K^dag) and validate(K rho K^dag / w)."""
+
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 7),
+           kind=st.sampled_from(RHO_KINDS), family=st.sampled_from(FAMILIES))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dense_sandwich(self, seed, d, kind, family):
+        rng = np.random.default_rng(seed)
+        rho = spectral_operator(rng, d, kind)
+        ms = kraus_family(rng, d, family)
+        probs = dict(outcome_probabilities(ms, rho))
+        for m, k in zip(ms.labels, ms.kraus):
+            weight, block = condition(rho.matrix, k)
+            assert abs(probs[m] - weight) <= 1e-12
+            if block is None:
+                with pytest.raises(ZeroProbabilityOutcome):
+                    post_measurement_object(ms, rho, m)
+                continue
+            out = post_measurement_object(ms, rho, m)
+            # both sides divide K rho K^dag, rounded to ~1e-16, by the
+            # weight: compare them before that division
+            assert weight * linalg.frobenius_dist(
+                out.matrix, validate(block).matrix) <= 1e-12
+            # the result keeps rho's rank: no d x d spectrum is built
+            assert out.spectrum.eigenvectors.shape == rho.spectrum.eigenvectors.shape
+
+    @pytest.mark.parametrize("factor, zero", [(0.99, True), (1.01, False)],
+                             ids=["below-floor", "above-floor"])
+    def test_zero_weight_floor_decides_as_dense(self, factor, zero):
+        # the outcome projects onto rho's eigenvector of weight factor * floor
+        rng = np.random.default_rng(7)
+        v = random_unitary(rng, 4).matrix[:, :2]
+        eps = factor * ZERO_WEIGHT_FLOOR
+        rho = validate(linalg.HermEigen(np.array([eps, 1 - eps]), v))
+        p0 = np.outer(v[:, 0], v[:, 0].conj())
+        ms = MeasurementSystem(dim_s=4, labels=("low", "rest"),
+                               kraus=(p0, np.eye(4) - p0), f={})
+        assert (condition(rho.matrix, p0)[1] is None) == zero
+        if zero:
+            with pytest.raises(ZeroProbabilityOutcome):
+                post_measurement_object(ms, rho, "low")
+        else:
+            out = post_measurement_object(ms, rho, "low")
+            assert linalg.frobenius_dist(out.matrix, p0) <= 1e-12
 
 
 class TestObservable:

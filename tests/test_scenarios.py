@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from iopsim import linalg
+from iopsim import config, dynamics, linalg, scenarios
 from iopsim.errors import BadParameter, BadSlitGeometry
+from iopsim.measurement import completeness_defect
 from iopsim.scenarios import (
     SCENARIOS,
     cat,
@@ -143,6 +144,68 @@ class TestTwoSlit:
     def test_modeling_note_present(self):
         report = two_slit()
         assert any("assumption" in note for note in report.notes)
+
+    @pytest.mark.parametrize("grid_n, sites", [
+        (128, [40, 41, 42, 43, 84, 85, 86, 87]),
+        (64, [0, 1, 62, 63]),
+        (16, list(range(16))),
+    ], ids=["default", "edge-slits", "no-blocked-site"])
+    def test_screen_matches_dense_swap(self, grid_n, sites):
+        # oracle: the absorbing operator as a dense swap times I - P
+        dim = grid_n + 1
+        p_pass = np.diag([1.0 if j in sites else 0.0 for j in range(dim)])
+        m_abs = np.eye(dim) - p_pass
+        blocked = [j for j in range(grid_n) if j not in sites]
+        if blocked:
+            swap = np.eye(dim)
+            swap[[blocked[0], grid_n]] = swap[[grid_n, blocked[0]]]
+            m_abs = swap @ m_abs
+        screen = scenarios._slit_screen(grid_n, sites)
+        assert np.array_equal(screen.kraus[0], p_pass)
+        assert np.array_equal(screen.kraus[1], m_abs)
+        assert completeness_defect(screen) == 0.0
+
+
+def dense_ring_hamiltonian(grid_n):
+    """Oracle: nearest-neighbour hopping on the periodic grid, flag decoupled."""
+    h = np.zeros((grid_n + 1, grid_n + 1), dtype=complex)
+    for j in range(grid_n):
+        h[j, (j + 1) % grid_n] = -1.0
+        h[(j + 1) % grid_n, j] = -1.0
+    return dynamics.hamiltonian(h)
+
+
+def dense_ring_propagator(grid_n, t):
+    return dynamics.propagator(dense_ring_hamiltonian(grid_n), 0.0, t)
+
+
+class TestRingPropagator:
+    """The DFT propagator against exp(-i t H / hbar) of the dense ring."""
+
+    @pytest.mark.parametrize("grid_n", [16, 64, 256])
+    @pytest.mark.parametrize("hbar", [1.0, 2.5])
+    @pytest.mark.parametrize("t", [20.0, -7.5], ids=["forward", "reverse"])
+    def test_matches_dense_eigensolver(self, grid_n, hbar, t):
+        with config.hbar(hbar):
+            fast = scenarios._ring_propagator(grid_n, t).matrix
+            oracle = dense_ring_propagator(grid_n, t).matrix
+        assert np.max(np.abs(fast - oracle)) <= 1e-12
+
+    @pytest.mark.parametrize("kwargs", [
+        {},
+        {"grid_n": 256, "slit_positions": ((80, 84), (172, 176))},
+    ], ids=["default", "grid-256"])
+    def test_scenario_matches_dense_route(self, monkeypatch, kwargs):
+        fast = two_slit(**kwargs)
+        monkeypatch.setattr(scenarios, "_ring_propagator", dense_ring_propagator)
+        dense = two_slit(**kwargs)
+        for key in ("intensity_coherent", "intensity_incoherent"):
+            assert np.max(np.abs(np.subtract(fast.outputs[key],
+                                             dense.outputs[key]))) <= 1e-12
+        assert [c.description for c in fast.checks] == [
+            c.description for c in dense.checks]
+        for a, b in zip(fast.checks, dense.checks):
+            assert abs(a.residual - b.residual) <= 1e-12, a.description
 
 
 class TestReports:

@@ -4,7 +4,8 @@ Each validation decision is made in `linalg` or `iop` and nowhere else:
 checks read their module's tolerance constant instead of taking one as
 an argument, numpy's Hermitian eigensolvers are called from `linalg`
 only, and an operator built by one of the three constructors has the
-spectrum the checked path would give it.
+spectrum the checked path would give it.  Paths that read a known
+spectrum call no eigensolver on a d x d matrix.
 """
 
 import ast
@@ -20,6 +21,8 @@ import pytest
 import iopsim
 from iopsim import linalg
 from iopsim.iop import max_iop, pure_iop, validate
+from iopsim.measurement import MeasurementSystem, outcome_probabilities
+from iopsim.scenarios import two_slit
 
 SRC = pathlib.Path(iopsim.__file__).parent
 MODULES = [importlib.import_module(f"iopsim.{m.name}")
@@ -93,3 +96,35 @@ def test_eig_matches_checked_path_bit_for_bit(rho):
     checked = linalg.herm_eig(rho.matrix)
     assert np.array_equal(fast.eigenvalues, checked.eigenvalues)
     assert np.array_equal(fast.eigenvectors, checked.eigenvectors)
+
+
+@pytest.fixture
+def eigensolver_shapes(monkeypatch):
+    """Shapes of the matrices numpy's Hermitian eigensolvers are called on."""
+    shapes = []
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+
+        def counted(a, *args, _solver=solver, **kwargs):
+            shapes.append(np.shape(a))
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return shapes
+
+
+def test_two_slit_diagonalizes_at_most_a_two_by_two_block(eigensolver_shapes):
+    # the ring propagator comes from the DFT and the prior is a rank-2
+    # spectral form: only the conditioned r x r block is diagonalized
+    assert two_slit(grid_n=64, slit_positions=((20, 22), (42, 44))).all_pass()
+    assert len(eigensolver_shapes) <= 1
+    assert all(max(shape) <= 2 for shape in eigensolver_shapes)
+
+
+def test_outcome_probabilities_runs_no_eigensolver(eigensolver_shapes):
+    rho = validate(np.diag([0.5, 0.3, 0.2]).astype(complex))
+    eigensolver_shapes.clear()
+    ms = MeasurementSystem.projective(
+        {m: np.diag(np.eye(3)[m]) for m in range(3)})
+    outcome_probabilities(ms, rho)
+    assert eigensolver_shapes == []
