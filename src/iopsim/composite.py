@@ -74,40 +74,30 @@ def compose(rho_s: InfoOperator, rho_t: InfoOperator) -> InfoOperator:
     return validate(np.kron(rho_s.matrix, rho_t.matrix))
 
 
-def separate(rho_st: InfoOperator, dim_s: int, dim_t: int):
-    """Recover the factors of a separable composite operator.
-
-    Returns (rho_s, rho_t, residual); the residual is the distance of the
-    input to the product of its partial traces, zero iff it separates.
-    """
-    if rho_st.dim != dim_s * dim_t:
-        raise DimensionMismatch(f"dim {rho_st.dim} != {dim_s} * {dim_t}")
-    rho_s = validate(linalg.partial_trace(rho_st.matrix, dim_s, dim_t, over="B"))
-    rho_t = validate(linalg.partial_trace(rho_st.matrix, dim_s, dim_t, over="A"))
-    residual = float(np.linalg.norm(
-        rho_st.matrix - np.kron(rho_s.matrix, rho_t.matrix)))
-    return rho_s, rho_t, residual
-
-
 def branch_decompose(rho_st: InfoOperator, spec: CompositeSpec) -> BranchDecomposition:
     """Decompose over the T-factor condensation subspaces.
 
-    For each label with nonzero weight, projects with I (x) P^m, splits the
-    block by partial traces, and records how far the block is from the
-    separable product.  Zero-weight labels are omitted.
+    For each label with nonzero weight, slices out the rows and columns
+    that I (x) P^m keeps, splits that block by partial traces, and records
+    how far the block is from the separable product; the T-side operator
+    is embedded back into dim_t x dim_t.  Zero-weight labels are omitted.
     """
     ds, dt = spec.dim_s, spec.dim_t
     if rho_st.dim != ds * dt:
         raise DimensionMismatch(f"dim {rho_st.dim} != {ds} * {dt}")
-    eye_s = np.eye(ds, dtype=complex)
+    t = rho_st.matrix.reshape(ds, dt, ds, dt)
     branches = []
-    for m, p in zip(spec.t_structure.labels, spec.t_structure.projectors):
-        weight, block = condition(rho_st.matrix, np.kron(eye_s, p))
+    for m, g in zip(spec.t_structure.labels, map(list, spec.t_structure.blocks)):
+        r = len(g)
+        weight, block = condition(t[:, g][:, :, :, g].reshape(ds * r, ds * r))
         if block is None:
             continue
-        rho_s = validate(linalg.partial_trace(block, ds, dt, over="B"))
-        rho_t = validate(linalg.partial_trace(block, ds, dt, over="A"))
-        distance = float(np.linalg.norm(block - np.kron(rho_s.matrix, rho_t.matrix)))
+        rho_s = validate(linalg.partial_trace(block, ds, r, over="B"))
+        rho_t = np.zeros((dt, dt), dtype=complex)
+        rho_t[np.ix_(g, g)] = linalg.partial_trace(block, ds, r, over="A")
+        rho_t = validate(rho_t)
+        product = np.kron(rho_s.matrix, rho_t.matrix[np.ix_(g, g)])
+        distance = float(np.linalg.norm(block - product))
         branches.append(Branch(m, weight, rho_s, rho_t, weight * distance))
     total = sum(b.weight for b in branches)
     return BranchDecomposition(branches=tuple(

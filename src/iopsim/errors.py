@@ -42,7 +42,7 @@ class SupportViolation(IopsimError):
 
 
 class ZeroWeight(IopsimError):
-    """A part, label or outcome whose weight is at most iop.ZERO_WEIGHT_FLOOR."""
+    """A label or outcome whose weight is at most iop.ZERO_WEIGHT_FLOOR."""
 
 
 class ZeroProbabilityLabel(ZeroWeight):

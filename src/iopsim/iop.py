@@ -23,7 +23,6 @@ from .errors import (
     SupportViolation,
     TraceNotOne,
     ZeroVector,
-    ZeroWeight,
 )
 
 TRACE_TOL = 1e-10
@@ -131,14 +130,13 @@ def pure_iop(psi) -> InfoOperator:
                         spectrum=linalg.HermEigen(np.ones(1), v[:, None]))
 
 
-def condition(m: np.ndarray, k=None):
-    """(w, K m K^dag / w) for w = tr(K m K^dag); (w, None) if w <= ZERO_WEIGHT_FLOOR.
+def condition(m: np.ndarray):
+    """(w, m / w) for w = tr m; (w, None) if w <= ZERO_WEIGHT_FLOOR.
 
-    The one zero-weight decision.  k None normalizes m; nothing is validated.
+    The one zero-weight decision; nothing is validated.
     """
-    block = m if k is None else k @ m @ k.conj().T
-    weight = float(np.trace(block).real)
-    return weight, (block / weight if weight > ZERO_WEIGHT_FLOOR else None)
+    weight = float(np.trace(m).real)
+    return weight, (m / weight if weight > ZERO_WEIGHT_FLOOR else None)
 
 
 def entropy(rho: InfoOperator) -> float:
@@ -226,14 +224,6 @@ class Mixture:
             raise DimensionMismatch(f"components have mixed dims {sorted(dims)}")
         object.__setattr__(self, "weights", ws)
         object.__setattr__(self, "components", comps)
-
-    @classmethod
-    def from_unnormalized(cls, sigmas) -> "Mixture":
-        """Build from unnormalized positive parts; weights are the traces."""
-        pairs = [condition(linalg.as_cmatrix(s)) for s in sigmas]
-        if any(part is None for _, part in pairs):
-            raise ZeroWeight(f"a part has zero weight: weights {[w for w, _ in pairs]}")
-        return cls([w for w, _ in pairs], [validate(part) for _, part in pairs])
 
     def combined(self) -> InfoOperator:
         total = sum(w * c.matrix for w, c in zip(self.weights, self.components))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotFinite, NotPure, ZeroVector
+from .errors import NotFinite, NotPure, ZeroVector
 from .iop import InfoOperator, is_pure, pure_iop
 
 GAUGE_FLOOR = 1e-12
@@ -54,14 +54,3 @@ def from_iop(rho: InfoOperator) -> InfoVector:
         raise NotPure("only pure i-operators have a vector agent")
     return gauge_fix(rho.spectrum.eigenvectors[:, -1])
 
-
-def superpose(terms) -> InfoVector:
-    """Normalized, gauge-fixed linear combination of (coefficient, vector)."""
-    terms = list(terms)
-    if not terms:
-        raise ValueError("superposition needs at least one term")
-    dims = {v.dim for _, v in terms}
-    if len(dims) != 1:
-        raise DimensionMismatch(f"vectors have mixed dims {sorted(dims)}")
-    total = sum(complex(c) * v.amplitudes for c, v in terms)
-    return gauge_fix(total)

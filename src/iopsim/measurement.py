@@ -27,7 +27,6 @@ from .errors import (
     ZeroProbabilityOutcome,
 )
 from .iop import SUPPORT_EIGENVALUE_FLOOR, InfoOperator, condition, validate
-from .serialize import fields_of, matrix_from_json, matrix_to_json
 
 COMPLETENESS_TOL = 1e-9
 IMAG_RESIDUE_TOL = 1e-10
@@ -64,23 +63,6 @@ class MeasurementSystem:
         fmap = f if f is not None else {m: float(i) for i, m in enumerate(labels)}
         return cls(dim_s=dim, labels=labels,
                    kraus=tuple(projectors[m] for m in labels), f=fmap)
-
-    def to_json(self) -> dict:
-        return {
-            "dim": self.dim_s,
-            "labels": [str(m) for m in self.labels],
-            "f": {str(m): self.f.get(m, 0.0) for m in self.labels},
-            "kraus": [matrix_to_json(k) for k in self.kraus],
-        }
-
-    @classmethod
-    def from_json(cls, obj) -> "MeasurementSystem":
-        with fields_of("measurement system"):
-            labels = tuple(obj["labels"])
-            fields = dict(dim_s=int(obj["dim"]), labels=labels,
-                          kraus=tuple(matrix_from_json(k) for k in obj["kraus"]),
-                          f={m: float(obj["f"][m]) for m in labels})
-        return cls(**fields)
 
 
 @dataclass(frozen=True)

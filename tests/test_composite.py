@@ -13,7 +13,6 @@ from iopsim.composite import (
     branch_decompose,
     compose,
     entropy_additivity_defect,
-    separate,
     unconditional_object,
 )
 from iopsim.condensation import CondensationStructure, label_probabilities
@@ -62,21 +61,6 @@ class TestCompose:
         on_joint = dict(label_probabilities(joint, lifted))
         on_t = dict(label_probabilities(rho_t, t_structure))
         assert all(abs(on_joint[m] - on_t[m]) <= 1e-10 for m in on_t)
-
-
-class TestSeparate:
-    def test_separable_input(self, rng):
-        rho_s = random_iop(rng, 2)
-        rho_t = random_iop(rng, 3)
-        s, t, residual = separate(compose(rho_s, rho_t), 2, 3)
-        assert linalg.frobenius_dist(s.matrix, rho_s.matrix) <= 1e-10
-        assert linalg.frobenius_dist(t.matrix, rho_t.matrix) <= 1e-10
-        assert residual <= 1e-10
-
-    def test_entangled_input_reports_residual(self):
-        bell = pure_iop([1, 0, 0, 1])
-        _, _, residual = separate(bell, 2, 2)
-        assert residual > 0.1
 
 
 class TestBranchDecompose:

@@ -8,6 +8,7 @@ from scipy.sparse.csgraph import connected_components
 from iopsim import linalg
 from iopsim.condensation import (
     BLOCK_TOL,
+    CONDENSED_TOL,
     CondensationStructure,
     _coupling,
     block_projected,
@@ -18,7 +19,7 @@ from iopsim.condensation import (
     respects_condensation,
 )
 from iopsim.dynamics import UnitaryOp, evolve
-from iopsim.errors import ParseError, ZeroProbabilityLabel
+from iopsim.errors import DimensionMismatch, ZeroProbabilityLabel
 from iopsim.iop import max_iop, pure_iop, validate
 
 from conftest import random_iop, random_unitary
@@ -44,33 +45,43 @@ def block_diag_unitary(rng, sizes):
 class TestStructureValidation:
     def test_requires_completeness(self):
         with pytest.raises(ValueError):
-            CondensationStructure(
-                dim=3, labels=("a",), projectors=(np.diag([1.0, 1.0, 0.0]),),
-                period=(0.0, 1.0))
-
-    def test_requires_orthogonality(self):
-        p = np.diag([1.0, 0.0])
-        with pytest.raises(ValueError):
-            CondensationStructure(dim=2, labels=("a", "b"), projectors=(p, p),
+            CondensationStructure(dim=3, labels=("a",), blocks=((0, 1),),
                                   period=(0.0, 1.0))
 
-    def test_json_round_trip(self, structure):
-        again = CondensationStructure.from_json(structure.to_json())
-        assert again.labels == structure.labels
-        for p, q in zip(again.projectors, structure.projectors):
-            np.testing.assert_allclose(p, q)
+    def test_requires_orthogonality(self):
+        with pytest.raises(ValueError):
+            CondensationStructure(dim=2, labels=("a", "b"), blocks=((0,), (0,)),
+                                  period=(0.0, 1.0))
+
+    @pytest.mark.parametrize("blocks, error", [
+        ({"a": [0], "b": [-1]}, DimensionMismatch),
+        ({"a": [0], "b": [1, 2]}, DimensionMismatch),
+        ({"a": [0], "b": [1.0]}, ValueError),
+        ({"a": [0, 1], "b": [1]}, ValueError),
+        ({"a": [0], "b": []}, ValueError),
+    ], ids=["negative", "past-dim", "float", "duplicate", "missing"])
+    def test_bad_index_is_typed(self, blocks, error):
+        with pytest.raises(error):
+            CondensationStructure.from_index_blocks(2, blocks)
+
+    def test_empty_group_is_rank_zero(self):
+        c = CondensationStructure.from_index_blocks(2, {"a": [1, 0], "b": []})
+        assert c.blocks == ((0, 1), ())
+        probs = dict(label_probabilities(max_iop(2), c))
+        assert probs == {"a": 1.0, "b": 0.0}
 
 
-def rotated_structure(rng, ranks):
-    """Structure on the column groups of a Haar unitary: not index blocks."""
-    v = random_unitary(rng, sum(ranks)).matrix
+@st.composite
+def partitions(draw, min_dim=1):
+    """Structure on a shuffled partition of the basis indices into
+    non-contiguous groups of 0 to 3 indices each."""
+    ranks = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4).filter(
+        lambda ranks: sum(ranks) >= min_dim))
+    order = draw(st.permutations(range(sum(ranks))))
     edges = np.cumsum([0, *ranks])
-    projectors = tuple(v[:, a:b] @ v[:, a:b].conj().T
-                       for a, b in zip(edges[:-1], edges[1:]))
-    structure = CondensationStructure(
-        dim=sum(ranks), labels=tuple(f"b{i}" for i in range(len(ranks))),
-        projectors=projectors, period=(0.0, 1.0))
-    return structure, v, edges
+    return CondensationStructure.from_index_blocks(
+        sum(ranks), {f"b{i}": order[a:b]
+                     for i, (a, b) in enumerate(zip(edges[:-1], edges[1:]))})
 
 
 def sandwich_coupling(u, c):
@@ -93,50 +104,32 @@ def sandwich_finest(u, c, threshold=BLOCK_TOL):
             [sum(c.projectors[i] for i in g) for g in groups])
 
 
-ranks_strategy = st.lists(st.integers(0, 3), min_size=1, max_size=4).filter(
-    lambda ranks: sum(ranks) >= 1)
-
-
 class TestBlockBasis:
-    """The block-basis paths against their dense sandwich oracles."""
+    """The index-block paths against their dense sandwich oracles."""
 
-    def test_basis_spans_the_subspaces(self, rng):
-        c, _, _ = rotated_structure(rng, [2, 0, 3, 1])
-        assert c.ranks == (2, 0, 3, 1)
-        b = c.basis
-        np.testing.assert_allclose(b.conj().T @ b, np.eye(6), atol=1e-12)
-        edges = np.cumsum([0, *c.ranks])
-        for p, a, z in zip(c.projectors, edges[:-1], edges[1:]):
-            np.testing.assert_allclose(b[:, a:z] @ b[:, a:z].conj().T, p,
-                                       atol=1e-12)
-
-    @given(seed=st.integers(0, 2**32 - 1), ranks=ranks_strategy)
+    @given(seed=st.integers(0, 2**32 - 1), c=partitions())
     @settings(max_examples=60, deadline=None)
-    def test_coupling_matches_sandwich(self, seed, ranks):
-        rng = np.random.default_rng(seed)
-        c, _, _ = rotated_structure(rng, ranks)
-        u = random_unitary(rng, c.dim)
+    def test_coupling_matches_sandwich(self, seed, c):
+        u = random_unitary(np.random.default_rng(seed), c.dim)
         np.testing.assert_allclose(_coupling(u, c), sandwich_coupling(u, c),
                                    rtol=0, atol=1e-12)
 
-    @given(seed=st.integers(0, 2**32 - 1), ranks=ranks_strategy,
+    @given(seed=st.integers(0, 2**32 - 1), c=partitions(),
            groups=st.lists(st.integers(0, 2), min_size=4, max_size=4))
     @settings(max_examples=60, deadline=None)
-    def test_decisions_match_sandwich(self, seed, ranks, groups):
-        # U is block-diagonal over unions of subspaces: blocks in one group
-        # are coupled, blocks in different groups are not
+    def test_decisions_match_sandwich(self, seed, c, groups):
+        # U is block-diagonal over unions of groups: groups with one tag
+        # are coupled, groups with different tags are not
         rng = np.random.default_rng(seed)
-        c, v, edges = rotated_structure(rng, ranks)
-        groups = groups[:len(ranks)]
-        inner = np.zeros((c.dim, c.dim), dtype=complex)
-        for g in set(groups):
-            cols = np.concatenate([np.arange(edges[i], edges[i + 1])
-                                   for i, h in enumerate(groups) if h == g])
-            if cols.size:
-                inner[np.ix_(cols, cols)] = random_unitary(rng, cols.size).matrix
-        u = UnitaryOp(dim=c.dim, matrix=v @ inner @ v.conj().T)
+        groups = groups[:len(c.blocks)]
+        u = np.zeros((c.dim, c.dim), dtype=complex)
+        for tag in set(groups):
+            idx = [j for g, h in zip(c.blocks, groups) if h == tag for j in g]
+            if idx:
+                u[np.ix_(idx, idx)] = random_unitary(rng, len(idx)).matrix
+        u = UnitaryOp(dim=c.dim, matrix=u)
         oracle = sandwich_coupling(u, c)
-        off = oracle[~np.eye(len(ranks), dtype=bool)]
+        off = oracle[~np.eye(len(c.blocks), dtype=bool)]
         # keep every coupling well away from the threshold
         assume(np.all((off < BLOCK_TOL / 1000) | (off > BLOCK_TOL * 1000)))
         assert respects_condensation(u, c) == bool(np.all(off <= BLOCK_TOL))
@@ -144,17 +137,33 @@ class TestBlockBasis:
         labels, projectors = sandwich_finest(u, c)
         assert finest.labels == labels
         for p, q in zip(finest.projectors, projectors):
-            np.testing.assert_allclose(p, q, atol=1e-12)
+            np.testing.assert_array_equal(p, q)
 
-    @given(seed=st.integers(0, 2**32 - 1), ranks=ranks_strategy)
+    @given(seed=st.integers(0, 2**32 - 1), c=partitions())
     @settings(max_examples=60, deadline=None)
-    def test_label_probabilities_match_sandwich(self, seed, ranks):
-        rng = np.random.default_rng(seed)
-        c, _, _ = rotated_structure(rng, ranks)
-        rho = random_iop(rng, c.dim)
+    def test_label_probabilities_match_sandwich(self, seed, c):
+        rho = random_iop(np.random.default_rng(seed), c.dim)
         got = dict(label_probabilities(rho, c))
         for m, p in zip(c.labels, c.projectors):
             assert abs(got[m] - np.trace(p @ rho.matrix @ p).real) <= 1e-12
+
+    @given(seed=st.integers(0, 2**32 - 1), c=partitions())
+    @settings(max_examples=60, deadline=None)
+    def test_condensed_form_matches_sandwich(self, seed, c):
+        rng = np.random.default_rng(seed)
+        rho = random_iop(rng, c.dim)
+        projected = sum(p @ rho.matrix @ p for p in c.projectors)
+        assert is_condensed_form(rho, c) == bool(
+            np.linalg.norm(rho.matrix - projected) <= CONDENSED_TOL)
+        assert is_condensed_form(validate(projected), c)
+
+    @given(c=partitions(), dim_left=st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_lift_is_kron_with_identity(self, c, dim_left):
+        lifted = c.lift(dim_left)
+        eye = np.eye(dim_left)
+        for p, q in zip(lifted.projectors, c.projectors):
+            np.testing.assert_array_equal(p, np.kron(eye, q))
 
 
 class TestLabelProbabilities:
@@ -282,27 +291,3 @@ class TestFinestStructure:
         merged = finest_respected_structure(block_diag_unitary(rng, [4, 2]),
                                             candidate)
         assert merged.labels == ("0+1", "2")
-
-
-class TestFromJsonErrors:
-    @pytest.mark.parametrize("obj", [
-        {"dim": 2},
-        {"dim": "two", "labels": ["a"], "period": [0, 1], "projectors": []},
-        {"dim": 1, "labels": ["a"], "period": [0], "projectors": []},
-        {"dim": 1, "labels": ["a"], "period": [0, "x"], "projectors": []},
-        {"dim": 1, "labels": ["a"], "period": [0, 1], "projectors": 5},
-        [1, 2],
-        {"dim": 1, "labels": [["a"]], "period": [0, 1],
-         "projectors": [{"dim": 1, "entries": [[1, 0]]}]},
-    ], ids=["missing-keys", "dim-not-int", "period-too-short",
-            "period-not-number", "projectors-not-list", "not-an-object",
-            "label-not-hashable"])
-    def test_malformed_is_parse_error(self, obj):
-        with pytest.raises(ParseError):
-            CondensationStructure.from_json(obj)
-
-    def test_well_formed_invalid_is_value_error(self, structure):
-        obj = structure.to_json()
-        obj["period"] = [1.0, 0.0]
-        with pytest.raises(ValueError):
-            CondensationStructure.from_json(obj)

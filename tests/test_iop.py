@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -50,7 +49,7 @@ from iopsim.iop import (
 from iopsim.measurement import MeasurementSystem, post_measurement_object
 
 from conftest import random_iop, random_pure, random_unitary
-from test_condensation import rotated_structure
+from test_condensation import partitions
 
 
 class TestValidate:
@@ -242,12 +241,6 @@ class TestMixture:
         pairs = decompose(Mixture(weights=(1.0,), components=(rho,)))
         assert pairs == [(1.0, rho)]
 
-    def test_weights_from_unnormalized_traces(self, rng):
-        a = 0.25 * random_iop(rng, 2).matrix
-        b = 0.75 * random_iop(rng, 2).matrix
-        mix = Mixture.from_unnormalized([a, b])
-        assert np.allclose(mix.weights, [0.25, 0.75])
-
     def test_remix_is_identity(self, rng):
         comps = tuple(random_iop(rng, 3) for _ in range(4))
         weights = (0.1, 0.2, 0.3, 0.4)
@@ -270,19 +263,6 @@ class TestConditioning:
         weight, block = condition(m * 2 * ZERO_WEIGHT_FLOOR)
         assert weight == 2 * ZERO_WEIGHT_FLOOR
         np.testing.assert_allclose(block, m)
-
-    def test_kraus_conjugation(self):
-        k = np.array([[1, 1], [0, 0]]) / math.sqrt(2)
-        weight, block = condition(max_iop(2).matrix, k)
-        assert np.isclose(weight, 0.5)
-        np.testing.assert_allclose(block, np.diag([1.0, 0.0]), atol=1e-15)
-
-    def test_unnormalized_zero_part_is_typed_without_warning(self, rng):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ZeroWeight):
-                Mixture.from_unnormalized([random_iop(rng, 2).matrix,
-                                           np.zeros((2, 2))])
 
     def test_every_caller_shares_the_floor(self):
         # label "-" / outcome "down" / branch "-" carry weight 5e-13 <= floor
@@ -374,24 +354,23 @@ class TestSpectralForm:
             dense_out = validate(u.matrix @ r.matrix @ u.matrix.conj().T)
             assert linalg.frobenius_dist(evolve(r, u).matrix, dense_out.matrix) <= 1e-12
 
-    @given(seed=st.integers(0, 2**32 - 1),
-           ranks=st.lists(st.integers(0, 3), min_size=2, max_size=4).filter(
-               lambda ranks: sum(ranks) >= 2),
+    @given(seed=st.integers(0, 2**32 - 1), c=partitions(min_dim=2),
            kind=st.sampled_from(KINDS))
     @settings(max_examples=120, deadline=None)
-    def test_conditioning_and_thin_parts_match_dense(self, seed, ranks, kind):
+    def test_conditioning_and_thin_parts_match_dense(self, seed, c, kind):
         rng = np.random.default_rng(seed)
-        c, _, _ = rotated_structure(rng, ranks)
         rho = validate(linalg.HermEigen(*raw_spectrum(rng, c.dim, kind)))
         whole = block_projected(rho, c)
         oracle = sum(p @ rho.matrix @ p for p in c.projectors)
         assert linalg.frobenius_dist(whole.matrix, validate(oracle).matrix) <= 1e-12
-        for m, p, rank in zip(c.labels, c.projectors, c.ranks):
-            block = condition(rho.matrix, p)[1]
+        for m, p, g in zip(c.labels, c.projectors, c.blocks):
+            block = condition(p @ rho.matrix @ p)[1]
             if block is None:
+                with pytest.raises(ZeroProbabilityLabel):
+                    condition_on_label(rho, c, m)
                 continue
             part = condition_on_label(rho, c, m)
-            assert part.spectrum.eigenvectors.shape == (c.dim, rank)
+            assert part.spectrum.eigenvectors.shape == (c.dim, len(g))
             assert linalg.frobenius_dist(part.matrix, validate(block).matrix) <= 1e-12
             k = contraction_from_mixture(whole, part).k
             assert linalg.frobenius_dist(

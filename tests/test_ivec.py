@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iopsim import linalg
-from iopsim.errors import DimensionMismatch, NotFinite, NotPure, ZeroVector
-from iopsim.ivec import InfoVector, from_iop, gauge_fix, superpose, to_iop
-from iopsim.iop import is_pure, max_iop, pure_iop
+from iopsim.errors import NotFinite, NotPure, ZeroVector
+from iopsim.ivec import InfoVector, from_iop, gauge_fix, to_iop
+from iopsim.iop import is_pure, max_iop
 
 from conftest import random_pure
 
@@ -72,35 +72,3 @@ class TestRoundTrip:
     def test_mixed_operator_rejected(self):
         with pytest.raises(NotPure):
             from_iop(max_iop(2))
-
-
-class TestSuperpose:
-    def test_equal_weights(self):
-        up = gauge_fix([1.0, 0.0])
-        down = gauge_fix([0.0, 1.0])
-        v = superpose([(1.0, up), (1.0, down)])
-        np.testing.assert_allclose(np.abs(v.amplitudes),
-                                   [1 / math.sqrt(2)] * 2, atol=1e-12)
-
-    def test_relative_phase_matters(self):
-        up = gauge_fix([1.0, 0.0])
-        down = gauge_fix([0.0, 1.0])
-        plus = to_iop(superpose([(1.0, up), (1.0, down)]))
-        minus = to_iop(superpose([(1.0, up), (-1.0, down)]))
-        assert linalg.frobenius_dist(plus.matrix, minus.matrix) > 0.5
-
-    def test_superposition_differs_from_mixture(self):
-        up, down = pure_iop([1, 0]), pure_iop([0, 1])
-        mix = 0.5 * up.matrix + 0.5 * down.matrix
-        sup = to_iop(superpose([(1.0, from_iop(up)), (1.0, from_iop(down))]))
-        assert linalg.frobenius_dist(sup.matrix, mix) > 0.5
-
-    def test_cancellation_rejected(self):
-        up = gauge_fix([1.0, 0.0])
-        with pytest.raises(ZeroVector):
-            superpose([(1.0, up), (-1.0, up)])
-
-    def test_mixed_dims_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            superpose([(1.0, gauge_fix([1.0, 0.0])),
-                       (1.0, gauge_fix([1.0, 0.0, 0.0]))])

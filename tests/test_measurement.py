@@ -9,7 +9,6 @@ from iopsim import linalg, scenarios
 from iopsim.composite import Branch
 from iopsim.errors import (
     NotDefinitive,
-    ParseError,
     SupportViolation,
     ZeroProbabilityOutcome,
 )
@@ -58,13 +57,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             MeasurementSystem(dim_s=2, labels=("a", "a"),
                               kraus=(np.eye(2), np.eye(2)), f={"a": 1.0})
-
-    def test_json_round_trip(self, z_system):
-        again = MeasurementSystem.from_json(z_system.to_json())
-        assert again.labels == z_system.labels
-        assert again.f == z_system.f
-        for k, q in zip(again.kraus, z_system.kraus):
-            np.testing.assert_allclose(k, q)
 
 
 class TestOutcomeProbabilities:
@@ -189,7 +181,7 @@ class TestSpectralMeasurement:
         ms = kraus_family(rng, d, family)
         probs = dict(outcome_probabilities(ms, rho))
         for m, k in zip(ms.labels, ms.kraus):
-            weight, block = condition(rho.matrix, k)
+            weight, block = condition(k @ rho.matrix @ k.conj().T)
             assert abs(probs[m] - weight) <= 1e-12
             if block is None:
                 with pytest.raises(ZeroProbabilityOutcome):
@@ -214,7 +206,7 @@ class TestSpectralMeasurement:
         p0 = np.outer(v[:, 0], v[:, 0].conj())
         ms = MeasurementSystem(dim_s=4, labels=("low", "rest"),
                                kraus=(p0, np.eye(4) - p0), f={})
-        assert (condition(rho.matrix, p0)[1] is None) == zero
+        assert (condition(p0 @ rho.matrix @ p0.conj().T)[1] is None) == zero
         if zero:
             with pytest.raises(ZeroProbabilityOutcome):
                 post_measurement_object(ms, rho, "low")
@@ -341,25 +333,3 @@ class TestSupportFloor:
             contraction_from_mixture(whole, pure_iop([0, 1]))
         k = contraction_from_mixture(whole, pure_iop([1, 0])).k
         assert np.linalg.norm(k @ np.array([0, 1])) == 0.0
-
-
-class TestFromJsonErrors:
-    def test_round_trip_still_checks_validity(self, z_system):
-        obj = z_system.to_json()
-        obj["labels"] = ["up", "up"]
-        with pytest.raises(ValueError, match="distinct"):
-            MeasurementSystem.from_json(obj)
-
-    @pytest.mark.parametrize("change", [
-        lambda o: o.pop("labels"),
-        lambda o: o["f"].pop("up"),
-        lambda o: o.update(f=[0.5, -0.5]),
-        lambda o: o.update(dim="two"),
-        lambda o: o.update(kraus=5),
-    ], ids=["no-labels", "f-lacks-label", "f-not-object", "dim-not-int",
-            "kraus-not-list"])
-    def test_malformed_is_parse_error(self, z_system, change):
-        obj = z_system.to_json()
-        change(obj)
-        with pytest.raises(ParseError):
-            MeasurementSystem.from_json(obj)

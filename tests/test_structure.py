@@ -20,9 +20,21 @@ import pytest
 
 import iopsim
 from iopsim import linalg
+from iopsim.composite import CompositeSpec, branch_decompose
+from iopsim.condensation import (
+    CondensationStructure,
+    condition_on_label,
+    finest_respected_structure,
+    is_condensed_form,
+    label_probabilities,
+    respects_condensation,
+)
+from iopsim.dynamics import UnitaryOp
 from iopsim.iop import max_iop, pure_iop, validate
 from iopsim.measurement import MeasurementSystem, outcome_probabilities
 from iopsim.scenarios import two_slit
+
+from conftest import random_iop, random_unitary
 
 SRC = pathlib.Path(iopsim.__file__).parent
 MODULES = [importlib.import_module(f"iopsim.{m.name}")
@@ -128,3 +140,35 @@ def test_outcome_probabilities_runs_no_eigensolver(eigensolver_shapes):
         {m: np.diag(np.eye(3)[m]) for m in range(3)})
     outcome_probabilities(ms, rho)
     assert eigensolver_shapes == []
+
+
+def test_index_partitions_run_no_eigensolver(eigensolver_shapes):
+    # a structure is its index groups: building, lifting, coarsening and
+    # testing it index the operator or unitary; conditioning on a label
+    # diagonalizes only that label's block, and branch_decompose only
+    # validates its two partial traces per branch
+    rng = np.random.default_rng(11)
+    u = np.eye(128, dtype=complex)
+    u[:32, :32] = random_unitary(rng, 32).matrix  # couples blocks 0 and 1
+    u = UnitaryOp(dim=128, matrix=u)
+    rho = random_iop(rng, 128)
+    t_structure = CondensationStructure.from_index_blocks(
+        16, {m: range(4 * m, 4 * m + 4) for m in range(4)})
+    spec = CompositeSpec(dim_s=8, dim_t=16, t_structure=t_structure)
+    eigensolver_shapes.clear()
+
+    c = CondensationStructure.from_index_blocks(
+        128, {b: range(16 * b, 16 * b + 16) for b in range(8)})
+    assert c.lift(2).dim == 256
+    assert len(finest_respected_structure(u, c).labels) == 7
+    label_probabilities(rho, c)
+    assert respects_condensation(u, c) is False
+    assert is_condensed_form(rho, c) is False
+    assert eigensolver_shapes == []
+
+    condition_on_label(rho, c, 3)
+    assert eigensolver_shapes == [(16, 16)]
+    eigensolver_shapes.clear()
+
+    assert len(branch_decompose(rho, spec).branches) == 4
+    assert eigensolver_shapes == [(8, 8), (16, 16)] * 4
