@@ -36,6 +36,9 @@ class CondensationStructure:
     period: tuple       # (tau1, tau2)
 
     def __post_init__(self):
+        if (isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer))
+                or self.dim < 1):
+            raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
         labels = tuple(self.labels)
         try:
             blocks = tuple(tuple(sorted(operator.index(j) for j in g))
@@ -102,11 +105,12 @@ def _check_dims(rho: InfoOperator, c: CondensationStructure):
 def label_probabilities(rho: InfoOperator, c: CondensationStructure):
     """tr(P^m rho P^m) per label: the sum of rho's diagonal over the group.
 
-    The groups partition the indices, so the values always sum to
-    tr rho = 1, inter-subspace coherences or not.
+    The diagonal is read from rho's spectrum, so no matrix is built.  The
+    groups partition the indices, so the values always sum to tr rho = 1,
+    inter-subspace coherences or not.
     """
     _check_dims(rho, c)
-    diag = rho.matrix.diagonal().real
+    diag = rho.diagonal()
     return [(m, float(diag[list(g)].sum())) for m, g in zip(c.labels, c.blocks)]
 
 

@@ -9,7 +9,8 @@ maximum one, and every component of a mixture is a contraction of the mix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,20 +41,35 @@ class InfoOperator:
 
     `spectrum` is its spectral form as the constructor found it, with
     nonnegative ascending eigenvalues; it may be thin (pure_iop keeps
-    one column).  `eig()` is the full decomposition of `matrix`.
+    one column).  `matrix` is the one the constructor had in hand, or,
+    for a spectral form, `_from_spectrum(w, V)` built on first read.
+    `eig()` is the full decomposition of `matrix`.
     """
 
     dim: int
-    matrix: np.ndarray
     spectrum: linalg.HermEigen
+    known_matrix: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
+    def __post_init__(self, known_matrix):
         # read-only views: a caller's own arrays stay writable
         frozen = tuple(a.view() for a in self.spectrum)
         for a in frozen:
             a.setflags(write=False)
         object.__setattr__(self, "spectrum", linalg.HermEigen(*frozen))
+        if known_matrix is not None:
+            known_matrix.setflags(write=False)
+            self.__dict__["matrix"] = known_matrix
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        a = _from_spectrum(*self.spectrum)
+        a.setflags(write=False)
+        return a
+
+    def diagonal(self) -> np.ndarray:
+        """The real diagonal of `matrix`, read from the spectrum: |V|^2 w."""
+        w, v = self.spectrum
+        return (v.real ** 2 + v.imag ** 2) @ w
 
     def eig(self) -> linalg.HermEigen:
         # each constructor yields an exactly Hermitian matrix: nothing to check
@@ -76,21 +92,21 @@ def validate(m) -> InfoOperator:
     renormalized; anything below the tolerance raises NotPositive.  This
     keeps operators produced by long evolutions and Kraus maps usable
     without silently accepting genuinely indefinite matrices.  A spectral
-    form needs no eigensolver: its eigenvectors are checked to be
-    orthonormal and the matrix is built from it before the trace check,
-    so the trace checked is that of the matrix stored, sum_i w_i |v_i|^2.
+    form needs no eigensolver and no matrix: its eigenvectors are checked
+    to be orthonormal, its trace is sum_i w_i |v_i|^2, and its matrix is
+    built on first read (at once only when it clamps).
     """
     if isinstance(m, linalg.HermEigen):
         w, v = linalg.checked_spectrum(m)
-        a = _from_spectrum(w, v)
+        a = None
+        tr = float(np.vdot(v * w, v).real)
     else:
         a = linalg.hermitian(m)
         a = (a + a.conj().T) / 2
-        w = None
-    tr = float(np.trace(a).real)
+        tr = float(np.trace(a).real)
     if abs(tr - 1.0) > TRACE_TOL:
         raise TraceNotOne(f"trace {tr!r} differs from 1 by {abs(tr - 1.0):.3e}")
-    if w is None:
+    if a is not None:
         w, v = linalg.eigh(a)
     if w[0] < -POSITIVITY_TOL:
         raise NotPositive(f"minimum eigenvalue {w[0]:.3e}")
@@ -99,7 +115,8 @@ def validate(m) -> InfoOperator:
         a = _from_spectrum(w, v)
         tr = float(np.trace(a).real)
         a, w = a / tr, w / tr
-    return InfoOperator(dim=a.shape[0], matrix=a, spectrum=linalg.HermEigen(w, v))
+    return InfoOperator(dim=v.shape[0], spectrum=linalg.HermEigen(w, v),
+                        known_matrix=a)
 
 
 def _from_spectrum(w, v) -> np.ndarray:
@@ -112,9 +129,9 @@ def max_iop(d: int) -> InfoOperator:
     """The maximum i-operator (1/d) I; it describes every d-dim system."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    return InfoOperator(dim=d, matrix=np.eye(d, dtype=complex) / d,
-                        spectrum=linalg.HermEigen(np.full(d, 1.0 / d),
-                                                  np.eye(d, dtype=complex)))
+    return InfoOperator(dim=d, spectrum=linalg.HermEigen(np.full(d, 1.0 / d),
+                                                         np.eye(d, dtype=complex)),
+                        known_matrix=np.eye(d, dtype=complex) / d)
 
 
 def pure_iop(psi) -> InfoOperator:
@@ -126,8 +143,8 @@ def pure_iop(psi) -> InfoOperator:
     if n == 0:
         raise ZeroVector("zero vector has no associated pure operator")
     v = v / n
-    return InfoOperator(dim=v.size, matrix=np.outer(v, v.conj()),
-                        spectrum=linalg.HermEigen(np.ones(1), v[:, None]))
+    return InfoOperator(dim=v.size, spectrum=linalg.HermEigen(np.ones(1), v[:, None]),
+                        known_matrix=np.outer(v, v.conj()))
 
 
 def condition(m: np.ndarray):

@@ -76,8 +76,31 @@ class Observable:
 
 
 def completeness_defect(ms: MeasurementSystem) -> float:
-    total = sum(k.conj().T @ k for k in ms.kraus)
-    return float(np.linalg.norm(total - np.eye(ms.dim_s)))
+    """||sum_m (M^m)^dag M^m - I||_F, computed as R^dag R for R the rows of
+    every Kraus operator stacked.
+
+    A row with at most one nonzero entry adds only |entry|^2 to the
+    diagonal; only rows with two or more nonzeros enter the one dense
+    product.  A family of diagonal and row-permuted diagonal operators
+    thus costs O(d^2), a dense one the same product as sum_m M^dag M.
+    """
+    d = ms.dim_s
+    rows = np.concatenate(ms.kraus)
+    nonzero = rows != 0
+    single = nonzero.sum(axis=1) <= 1
+    diagonal = -1.0
+    if single.any():
+        # column and value of each single row's one nonzero (column 0,
+        # value 0 for an empty row)
+        r = np.flatnonzero(single)
+        j = nonzero[r].argmax(axis=1)
+        entries = rows[r, j]
+        diagonal = np.bincount(j, entries.real ** 2 + entries.imag ** 2,
+                               minlength=d) - 1.0
+        rows = rows[~single]
+    total = rows.conj().T @ rows
+    total.flat[::d + 1] += diagonal
+    return float(np.linalg.norm(total))
 
 
 def is_definitive(ms: MeasurementSystem) -> bool:

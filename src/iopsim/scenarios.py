@@ -558,11 +558,11 @@ def two_slit(grid_n: int = 128, p_pass=None,
 
     # coherent route: propagate the passed information vector
     v_b = ivec.gauge_fix(psi_pass)
-    intensity_a = _propagated_intensity(v_b.amplitudes, u.matrix, grid_n)
+    out_b = u.matrix @ v_b.amplitudes
+    intensity_a = np.abs(out_b[:grid_n]) ** 2
     evolved_op = dynamics.evolve(rho_b, u)
     ck.residual("vector_operator_consistency", linalg.frobenius_dist(
-        evolved_op.matrix,
-        np.outer(u.matrix @ v_b.amplitudes, (u.matrix @ v_b.amplitudes).conj())))
+        evolved_op.matrix, np.outer(out_b, out_b.conj())))
 
     # incoherent route: one slit at a time, weighted by passage share
     weights, slit_vectors = [], []

@@ -64,6 +64,22 @@ class TestStructureValidation:
         with pytest.raises(error):
             CondensationStructure.from_index_blocks(2, blocks)
 
+    @pytest.mark.parametrize("dim, blocks", [
+        (2.0, {"a": [0, 1]}),
+        ("2", {"a": [0, 1]}),
+        (True, {"a": [0]}),
+        (0, {"a": []}),
+        (-1, {"a": []}),
+        (None, {"a": [0]}),
+    ], ids=["float", "str", "bool", "zero", "negative", "none"])
+    def test_bad_dim_is_typed(self, dim, blocks):
+        with pytest.raises(ValueError, match="dim must be a positive integer"):
+            CondensationStructure.from_index_blocks(dim, blocks)
+
+    def test_numpy_integer_dim_is_accepted(self):
+        c = CondensationStructure.from_index_blocks(np.int64(2), {"a": [0, 1]})
+        assert c.blocks == ((0, 1),)
+
     def test_empty_group_is_rank_zero(self):
         c = CondensationStructure.from_index_blocks(2, {"a": [1, 0], "b": []})
         assert c.blocks == ((0, 1), ())

@@ -35,6 +35,7 @@ from iopsim.iop import (
     ZERO_WEIGHT_FLOOR,
     Contraction,
     Mixture,
+    _from_spectrum,
     condition,
     contract,
     contraction_from_max,
@@ -314,6 +315,11 @@ def dense(w, v):
     return (v * w) @ v.conj().T
 
 
+def holds_matrix(rho):
+    """Whether rho's dense matrix has been built (or was given) yet."""
+    return "matrix" in vars(rho)
+
+
 def round_trip(whole, k):
     """K whole K^dag before validation, which renormalizes only if it clamps."""
     return k @ whole.matrix @ k.conj().T
@@ -386,6 +392,20 @@ class TestSpectralForm:
             back = contract(whole, contraction_from_mixture(whole, part))
             assert linalg.frobenius_dist(back.matrix, part.matrix) <= 1e-12
 
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 6),
+           kind=st.sampled_from(KINDS))
+    @settings(max_examples=60, deadline=None)
+    def test_matrix_is_built_on_first_read(self, seed, d, kind):
+        w, v = raw_spectrum(np.random.default_rng(seed), d, kind)
+        rho = validate(linalg.HermEigen(w, v))
+        # only the clamp path builds the matrix at once, to renormalize it
+        assert holds_matrix(rho) == (kind == "clamped")
+        built = rho.matrix
+        if kind != "clamped":
+            assert np.array_equal(built, _from_spectrum(*rho.spectrum))
+        assert built is rho.matrix and not built.flags.writeable
+        assert np.max(np.abs(rho.diagonal() - built.diagonal().real)) <= 1e-15
+
     @pytest.mark.parametrize("v", [np.array([[1.0, 0.6], [0.0, 0.8]]),
                                    2 * np.eye(2)[:, :1]],
                              ids=["not-orthogonal", "not-unit"])
@@ -395,7 +415,8 @@ class TestSpectralForm:
 
     def test_trace_is_that_of_the_matrix_built(self):
         # columns of squared norm 1 + 5e-10 pass the isometry check (defect
-        # 7.1e-10) but lift the trace past TRACE_TOL although sum(w) is 1
+        # 7.1e-10) but lift the trace sum_i w_i |v_i|^2 past TRACE_TOL
+        # although sum(w) is 1
         v = math.sqrt(1 + 5e-10) * np.eye(2)
         with pytest.raises(TraceNotOne):
             validate(linalg.HermEigen(np.array([0.5, 0.5]), v))
@@ -416,6 +437,7 @@ class TestSpectralForm:
     ], ids=["validate", "max-iop", "pure-iop"])
     def test_every_constructor_stores_its_spectrum(self, make):
         rho = make()
+        assert holds_matrix(rho)
         w, v = rho.spectrum
         assert linalg.frobenius_dist(dense(w, v), rho.matrix) <= 1e-15
         assert not (w.flags.writeable or v.flags.writeable)

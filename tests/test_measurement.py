@@ -168,6 +168,72 @@ def kraus_family(rng, d, family):
                              kraus=tuple(kraus), f={})
 
 
+COMPLETENESS_KINDS = ["dense", "diagonal", "permuted-diagonal", "mixed-row",
+                      "isometry", "incomplete"]
+
+
+def gaussian(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def structured_family(rng, d, kind):
+    """One to three Kraus operators whose rows are dense, hold one entry
+    (or none), or mix the two.  "isometry" is a complete dense family (the
+    d x d blocks of a (k d) x d isometry); "incomplete" is a projective
+    family of 0/1 diagonals with one projector left out."""
+    k = int(rng.integers(1, 4))
+    if kind == "isometry":
+        kraus = np.split(np.linalg.qr(gaussian(rng, (k * d, d)))[0], k)
+    elif kind == "incomplete":
+        owner = rng.integers(0, k + 1, size=d)
+        kraus = [np.diag((owner == i).astype(complex)) for i in range(k)]
+    else:
+        kraus = gaussian(rng, (k, d, d)) / math.sqrt(k * d)
+        if kind != "dense":
+            # diagonal, with some rows left empty
+            diagonal = kraus * np.eye(d) * (rng.random((k, d, 1)) < 0.8)
+            if kind == "permuted-diagonal":
+                diagonal = diagonal[:, rng.permutation(d)]
+            if kind == "mixed-row":
+                diagonal = np.where(rng.random((k, d, 1)) < 0.5, kraus, diagonal)
+            kraus = diagonal
+    return MeasurementSystem(dim_s=d, labels=tuple(range(len(kraus))),
+                             kraus=tuple(kraus), f={})
+
+
+def dense_completeness_defect(ms):
+    """Oracle: ||sum_m (M^m)^dag M^m - I|| from one dense product per operator."""
+    return float(np.linalg.norm(sum(k.conj().T @ k for k in ms.kraus)
+                                - np.eye(ms.dim_s)))
+
+
+class TestCompleteness:
+    """completeness_defect stacks the rows of every Kraus operator; the oracle
+    forms the dense (M^m)^dag M^m of each."""
+
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 8),
+           kind=st.sampled_from(COMPLETENESS_KINDS + FAMILIES))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dense_oracle(self, seed, d, kind):
+        rng = np.random.default_rng(seed)
+        ms = (kraus_family(rng, d, kind) if kind in FAMILIES
+              else structured_family(rng, d, kind))
+        assert abs(completeness_defect(ms) - dense_completeness_defect(ms)) <= 1e-12
+
+    @pytest.mark.parametrize("grid_n, slits", [
+        (16, ((0, 16),)),
+        (16, ((3, 5),)),
+        (64, ((20, 22), (42, 44))),
+        (257, ((80, 84), (172, 176))),
+        (512, ((160, 176), (336, 352))),
+    ], ids=["all-open", "16", "64", "257", "512"])
+    def test_slit_screen_is_exactly_complete(self, grid_n, slits):
+        sites = [j for a, b in slits for j in range(a, b)]
+        ms = scenarios._slit_screen(grid_n, sites)
+        assert completeness_defect(ms) == 0.0
+        assert dense_completeness_defect(ms) == 0.0
+
+
 class TestSpectralMeasurement:
     """outcome_probabilities and post_measurement_object read rho.spectrum;
     the oracles are the dense tr(K rho K^dag) and validate(K rho K^dag / w)."""

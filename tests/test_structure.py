@@ -5,7 +5,8 @@ checks read their module's tolerance constant instead of taking one as
 an argument, numpy's Hermitian eigensolvers are called from `linalg`
 only, and an operator built by one of the three constructors has the
 spectrum the checked path would give it.  Paths that read a known
-spectrum call no eigensolver on a d x d matrix.
+spectrum call no eigensolver on a d x d matrix, and an operator built
+from a spectral form builds its matrix only when it is read.
 """
 
 import ast
@@ -19,22 +20,28 @@ import numpy as np
 import pytest
 
 import iopsim
-from iopsim import linalg
+from iopsim import iop, linalg
 from iopsim.composite import CompositeSpec, branch_decompose
 from iopsim.condensation import (
     CondensationStructure,
+    block_projected,
     condition_on_label,
     finest_respected_structure,
     is_condensed_form,
     label_probabilities,
     respects_condensation,
 )
-from iopsim.dynamics import UnitaryOp
+from iopsim.dynamics import UnitaryOp, evolve
 from iopsim.iop import max_iop, pure_iop, validate
-from iopsim.measurement import MeasurementSystem, outcome_probabilities
+from iopsim.measurement import (
+    MeasurementSystem,
+    outcome_probabilities,
+    post_measurement_object,
+)
 from iopsim.scenarios import two_slit
 
 from conftest import random_iop, random_unitary
+from test_iop import holds_matrix
 
 SRC = pathlib.Path(iopsim.__file__).parent
 MODULES = [importlib.import_module(f"iopsim.{m.name}")
@@ -91,6 +98,39 @@ def test_thresholds_are_module_constants():
                     if "e" in source.lower():
                         literals.add(f"{path.name}:{node.lineno}: {source}")
     assert sorted(literals) == []
+
+
+@pytest.mark.parametrize("step", [
+    "evolve", "post_measurement_object", "block_projected", "condition_on_label"])
+def test_spectral_results_build_their_matrix_on_first_read(step):
+    rng = np.random.default_rng(7)
+    rho = random_iop(rng, 6)
+    c = CondensationStructure.from_index_blocks(6, {"a": [0, 2, 4], "b": [1, 3, 5]})
+    ms = MeasurementSystem.projective(dict(zip(c.labels, c.projectors)))
+    out = {"evolve": lambda: evolve(rho, random_unitary(rng, 6)),
+           "post_measurement_object": lambda: post_measurement_object(ms, rho, "a"),
+           "block_projected": lambda: block_projected(rho, c),
+           "condition_on_label": lambda: condition_on_label(rho, c, "b")}[step]()
+    assert not holds_matrix(out)
+    label_probabilities(out, c)
+    assert not holds_matrix(out)
+    assert np.array_equal(out.matrix, iop._from_spectrum(*out.spectrum))
+    assert holds_matrix(out)
+
+
+def test_two_slit_builds_at_most_two_operator_matrices(monkeypatch):
+    # the evolved passed operator and the evolved one-slit control are the
+    # only operators whose matrix is read; every other one stays spectral
+    built = []
+
+    def counted(w, v, _build=iop._from_spectrum):
+        built.append(v.shape)
+        return _build(w, v)
+
+    monkeypatch.setattr(iop, "_from_spectrum", counted)
+    assert two_slit(grid_n=64, slit_positions=((20, 22), (42, 44))).all_pass()
+    assert 1 <= len(built) <= 2
+    assert all(shape[0] == 65 for shape in built)
 
 
 @pytest.mark.parametrize("rho", [
