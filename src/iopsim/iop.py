@@ -18,7 +18,6 @@ from . import linalg
 from .errors import (
     DimensionMismatch,
     NotFinite,
-    NotHermitian,
     NotPositive,
     ResultNotIOperator,
     SupportViolation,
@@ -43,7 +42,6 @@ class InfoOperator:
     nonnegative ascending eigenvalues; it may be thin (pure_iop keeps
     one column).  `matrix` is the one the constructor had in hand, or,
     for a spectral form, `_from_spectrum(w, V)` built on first read.
-    `eig()` is the full decomposition of `matrix`.
     """
 
     dim: int
@@ -71,18 +69,37 @@ class InfoOperator:
         w, v = self.spectrum
         return (v.real ** 2 + v.imag ** 2) @ w
 
-    def eig(self) -> linalg.HermEigen:
-        # each constructor yields an exactly Hermitian matrix: nothing to check
-        return linalg.eigh(self.matrix)
-
 
 @dataclass(frozen=True)
 class Contraction:
-    """A contracting operator K: applying it as K rho K^dag shrinks rho."""
+    """A contracting operator K = q diag(s) w^dag: K rho K^dag shrinks rho.
 
-    k: np.ndarray
-    source_dim: int
-    target_dim: int
+    `q` (target x n) has orthonormal columns, `s` holds n scales and `w`
+    is source x n.  The dense `k` is built on first read; a dense K
+    enters through `from_matrix`.
+    """
+
+    q: np.ndarray
+    s: np.ndarray
+    w: np.ndarray
+
+    @classmethod
+    def from_matrix(cls, k) -> Contraction:
+        """A dense K (target x source) as q = I, s = 1, w = K^dag."""
+        k = linalg.as_cmatrix(k)
+        return cls(q=np.eye(k.shape[0]), s=np.ones(k.shape[0]), w=k.conj().T)
+
+    @property
+    def source_dim(self) -> int:
+        return self.w.shape[0]
+
+    @property
+    def target_dim(self) -> int:
+        return self.q.shape[0]
+
+    @cached_property
+    def k(self) -> np.ndarray:
+        return (self.q * self.s) @ self.w.conj().T
 
 
 def validate(m) -> InfoOperator:
@@ -122,7 +139,11 @@ def validate(m) -> InfoOperator:
 def _from_spectrum(w, v) -> np.ndarray:
     """(V w) V^dag, symmetrized so that it is exactly Hermitian."""
     a = (v * w) @ v.conj().T
-    return (a + a.conj().T) / 2
+    # in place on the fresh product: (a + a^dag) / 2 bit for bit, one
+    # d x d temporary fewer
+    a += a.conj().T
+    a /= 2
+    return a
 
 
 def max_iop(d: int) -> InfoOperator:
@@ -169,13 +190,21 @@ def is_pure(rho: InfoOperator) -> bool:
 
 
 def contract(rho: InfoOperator, k: Contraction) -> InfoOperator:
-    """K rho K^dag, validated.  Fails if K is not contracting for this rho."""
+    """K rho K^dag, validated.  Fails if K is not contracting for this rho.
+
+    With K = q diag(s) w^dag and rho = V diag(lam) V^dag, K rho K^dag is
+    q g g^dag q^dag for the n x r matrix g = s (w^dag V sqrt(lam)).  The
+    n x n core g g^dag = U mu U^dag gives its spectral form (mu, q U), so
+    the cost is O(d n r) and `rho.matrix` is not read.
+    """
     if k.source_dim != rho.dim:
         raise DimensionMismatch(f"contraction source dim {k.source_dim} != {rho.dim}")
-    out = k.k @ rho.matrix @ k.k.conj().T
+    lam, v = rho.spectrum
+    g = k.s[:, None] * ((k.w.conj().T @ v) * np.sqrt(lam))
+    mu, u = linalg.eigh(g @ g.conj().T)
     try:
-        return validate(out)
-    except (NotHermitian, TraceNotOne, NotPositive) as exc:
+        return validate(linalg.HermEigen(mu, k.q @ u))
+    except (TraceNotOne, NotPositive) as exc:
         raise ResultNotIOperator(
             f"K rho K^dag is not an i-operator for this rho: {exc}"
         ) from exc
@@ -184,10 +213,7 @@ def contract(rho: InfoOperator, k: Contraction) -> InfoOperator:
 def contraction_from_max(target: InfoOperator) -> Contraction:
     """K mapping the maximum i-operator to `target`: V diag(sqrt(lam d)) V^dag."""
     w, v = target.spectrum
-    d = target.dim
-    scales = np.sqrt(w * d)
-    k = (v * scales) @ v.conj().T
-    return Contraction(k=k, source_dim=d, target_dim=d)
+    return Contraction(q=v, s=np.sqrt(w * target.dim), w=v)
 
 
 def contraction_from_mixture(whole: InfoOperator, part: InfoOperator) -> Contraction:
@@ -204,20 +230,21 @@ def contraction_from_mixture(whole: InfoOperator, part: InfoOperator) -> Contrac
     ww, wv = whole.spectrum
     pw, pv = part.spectrum
     sup = wv[:, ww > SUPPORT_EIGENVALUE_FLOOR]
-    for i in np.flatnonzero(pw > SUPPORT_EIGENVALUE_FLOOR):
-        vec = pv[:, i]
-        residual = float(np.linalg.norm(vec - sup @ (sup.conj().T @ vec)))
-        if residual > SUPPORT_RESIDUAL_TOL:
-            raise SupportViolation(
-                f"part eigenvector {i} lies outside the mixture's support "
-                f"(residual {residual:.3e})"
-            )
+    checked = np.flatnonzero(pw > SUPPORT_EIGENVALUE_FLOOR)
+    vecs = pv[:, checked]
+    residuals = np.linalg.norm(vecs - sup @ (sup.conj().T @ vecs), axis=0)
+    outside = np.flatnonzero(residuals > SUPPORT_RESIDUAL_TOL)
+    if outside.size:
+        j = outside[0]
+        raise SupportViolation(
+            f"part eigenvector {checked[j]} lies outside the mixture's support "
+            f"(residual {residuals[j]:.3e})"
+        )
     n = min(ww.size, pw.size)
     ww, wv, pw, pv = ww[-n:], wv[:, -n:], pw[-n:], pv[:, -n:]
     ok = ww > SUPPORT_EIGENVALUE_FLOOR
     ratios = np.divide(pw, ww, out=np.zeros(n), where=ok)
-    k = (pv * np.sqrt(ratios)) @ wv.conj().T
-    return Contraction(k=k, source_dim=whole.dim, target_dim=whole.dim)
+    return Contraction(q=pv, s=np.sqrt(ratios), w=wv)
 
 
 @dataclass(frozen=True)

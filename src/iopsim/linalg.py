@@ -44,7 +44,7 @@ def as_cmatrix(entries) -> np.ndarray:
         raise DimensionMismatch(f"expected a 2-D matrix, got shape {a.shape}")
     if max(a.shape) > DIM_CAP:
         raise DimensionMismatch(f"dimension {max(a.shape)} exceeds cap {DIM_CAP}")
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+    if not np.isfinite(a).all():
         raise NotFinite("matrix contains NaN or Inf entries")
     return a
 
@@ -149,9 +149,9 @@ def checked_spectrum(e: HermEigen) -> HermEigen:
     if w.ndim != 1 or w.size != v.shape[1] or w.size > v.shape[0]:
         raise DimensionMismatch(
             f"{np.shape(w)} eigenvalues for eigenvectors of shape {v.shape}")
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise NotFinite("eigenvalues contain NaN or Inf")
-    if np.any(np.diff(w) < 0):
+    if (w[1:] < w[:-1]).any():
         raise ValueError("eigenvalues must be in ascending order")
     defect = unitarity_defect(v)
     if defect > UNITARITY_TOL:

@@ -150,25 +150,35 @@ class TestContract:
     def test_unitary_is_contracting(self, rng):
         rho = random_iop(rng, 4)
         u = random_unitary(rng, 4)
-        out = contract(rho, Contraction(k=u.matrix, source_dim=4, target_dim=4))
+        out = contract(rho, Contraction.from_matrix(u.matrix))
         assert np.isclose(np.trace(out.matrix).real, 1.0)
 
     def test_identity_fixes(self, rng):
         rho = random_iop(rng, 3)
-        out = contract(rho, Contraction(k=np.eye(3), source_dim=3, target_dim=3))
+        out = contract(rho, Contraction.from_matrix(np.eye(3)))
         np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-12)
 
     def test_diagonal_rescale(self):
-        k = Contraction(k=np.diag([math.sqrt(1.4), math.sqrt(0.6)]),
-                        source_dim=2, target_dim=2)
+        k = Contraction.from_matrix(np.diag([math.sqrt(1.4), math.sqrt(0.6)]))
         out = contract(max_iop(2), k)
         np.testing.assert_allclose(out.matrix, np.diag([0.7, 0.3]), atol=1e-12)
 
     def test_non_contracting_operator_rejected(self, rng):
         rho = random_iop(rng, 2)
-        k = Contraction(k=2 * np.eye(2), source_dim=2, target_dim=2)
-        with pytest.raises(ResultNotIOperator):
-            contract(rho, k)
+        for k in (Contraction.from_matrix(2 * np.eye(2)),
+                  Contraction(q=np.eye(2), s=np.full(2, 2.0), w=np.eye(2))):
+            with pytest.raises(ResultNotIOperator):
+                contract(rho, k)
+
+    def test_source_dimension_checked(self):
+        with pytest.raises(DimensionMismatch, match="source dim 2 != 3"):
+            contract(max_iop(3), contraction_from_max(max_iop(2)))
+
+    def test_dense_entry_keeps_k(self, rng):
+        k = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+        c = Contraction.from_matrix(k)
+        assert (c.source_dim, c.target_dim) == (2, 3)
+        np.testing.assert_array_equal(c.k, k)
 
 
 class TestContractionFromMax:
@@ -382,6 +392,39 @@ class TestSpectralForm:
             assert linalg.frobenius_dist(
                 round_trip(whole, k),
                 round_trip(whole, dense_mixture_contraction(whole, part))) <= 1e-12
+
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 6),
+           rank=st.integers(1, 6), kind=st.sampled_from(KINDS),
+           route=st.sampled_from(["max", "mixture", "unitary"]))
+    @settings(max_examples=200, deadline=None)
+    def test_contract_matches_dense(self, seed, d, rank, kind, route):
+        """Factored and dense-entry contract against validate(K rho K^dag).
+
+        max: the maximum operator contracted to a target of `kind`;
+        mixture: a whole of rank min(rank, d), dense-validated (so it may
+        clamp), contracted to its part of `kind`; unitary: an operator of
+        `kind` under K = Q W^dag, which is not Hermitian.
+        """
+        rng = np.random.default_rng(seed)
+        op = validate(linalg.HermEigen(*raw_spectrum(rng, d, kind)))
+        if route == "max":
+            rho, k = max_iop(d), contraction_from_max(op)
+        elif route == "mixture":
+            m = min(rank, d)
+            b = random_unitary(rng, d).matrix[:, :m]
+            part, other = (validate(linalg.HermEigen(w, b @ v)) for w, v in (
+                raw_spectrum(rng, m, kind if m > 1 else "rank1"),
+                raw_spectrum(rng, m, "generic")))
+            p = rng.uniform(0.2, 0.8)
+            rho = validate(p * part.matrix + (1 - p) * other.matrix)
+            k = contraction_from_mixture(rho, part)
+        else:
+            rho = op
+            k = Contraction(q=random_unitary(rng, d).matrix, s=np.ones(d),
+                            w=random_unitary(rng, d).matrix)
+        oracle = validate(k.k @ rho.matrix @ k.k.conj().T)
+        for kk in (k, Contraction.from_matrix(k.k)):
+            assert linalg.frobenius_dist(contract(rho, kk).matrix, oracle.matrix) <= 1e-12
 
     def test_thin_part_of_a_rank_deficient_whole(self):
         # whole has rank 2 in d = 4; the thin part must pair with its top

@@ -2,11 +2,11 @@
 
 Each validation decision is made in `linalg` or `iop` and nowhere else:
 checks read their module's tolerance constant instead of taking one as
-an argument, numpy's Hermitian eigensolvers are called from `linalg`
-only, and an operator built by one of the three constructors has the
-spectrum the checked path would give it.  Paths that read a known
-spectrum call no eigensolver on a d x d matrix, and an operator built
-from a spectral form builds its matrix only when it is read.
+an argument, and numpy's Hermitian eigensolvers are called from
+`linalg` only.  Paths that read a known spectrum call no eigensolver on
+a d x d matrix (`contract` diagonalizes only a core of the part's rank),
+and an operator built from a spectral form builds its matrix only when
+it is read.
 """
 
 import ast
@@ -32,7 +32,7 @@ from iopsim.condensation import (
     respects_condensation,
 )
 from iopsim.dynamics import UnitaryOp, evolve
-from iopsim.iop import max_iop, pure_iop, validate
+from iopsim.iop import validate
 from iopsim.measurement import (
     MeasurementSystem,
     outcome_probabilities,
@@ -133,23 +133,6 @@ def test_two_slit_builds_at_most_two_operator_matrices(monkeypatch):
     assert all(shape[0] == 65 for shape in built)
 
 
-@pytest.mark.parametrize("rho", [
-    validate(np.diag([0.7, 0.2, 0.1]).astype(complex)),
-    validate(np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]])),
-    # minimum eigenvalue -1e-12: validate clamps it and rebuilds the matrix
-    validate(np.diag([1 + 1e-12, -1e-12])),
-    max_iop(3),
-    pure_iop([1, 1j, 0.5]),
-    pure_iop([0.3, -2.0]),
-], ids=["validate-diagonal", "validate-dense", "validate-clamped",
-        "max-iop", "pure-iop-complex", "pure-iop-real"])
-def test_eig_matches_checked_path_bit_for_bit(rho):
-    fast = rho.eig()
-    checked = linalg.herm_eig(rho.matrix)
-    assert np.array_equal(fast.eigenvalues, checked.eigenvalues)
-    assert np.array_equal(fast.eigenvectors, checked.eigenvectors)
-
-
 @pytest.fixture
 def eigensolver_shapes(monkeypatch):
     """Shapes of the matrices numpy's Hermitian eigensolvers are called on."""
@@ -212,3 +195,20 @@ def test_index_partitions_run_no_eigensolver(eigensolver_shapes):
 
     assert len(branch_decompose(rho, spec).branches) == 4
     assert eigensolver_shapes == [(8, 8), (16, 16)] * 4
+
+
+def test_contract_diagonalizes_only_the_part_rank(eigensolver_shapes):
+    # the mixture is d = 128 with 8 label blocks of 16: contracting it to
+    # one label's part diagonalizes a 16 x 16 core and never builds the
+    # whole's matrix
+    rng = np.random.default_rng(13)
+    c = CondensationStructure.from_index_blocks(
+        128, {b: range(16 * b, 16 * b + 16) for b in range(8)})
+    rho = random_iop(rng, 128)
+    whole = block_projected(rho, c)
+    part = condition_on_label(rho, c, 5)
+    eigensolver_shapes.clear()
+    back = iop.contract(whole, iop.contraction_from_mixture(whole, part))
+    assert eigensolver_shapes and all(max(s) <= 16 for s in eigensolver_shapes)
+    assert not holds_matrix(whole)
+    assert linalg.frobenius_dist(back.matrix, part.matrix) <= 1e-10
