@@ -17,7 +17,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from . import linalg
 from .dynamics import UnitaryOp
@@ -70,13 +69,6 @@ class CondensationStructure:
         """
         return cls(dim=dim, labels=tuple(blocks), blocks=tuple(blocks.values()),
                    period=period)
-
-    @property
-    def projectors(self) -> tuple:
-        """The 0/1 diagonal projector P^m of each group, built on demand."""
-        owner = _owner(self)
-        return tuple(np.diag((owner == i).astype(complex))
-                     for i in range(len(self.blocks)))
 
     def lift(self, dim_left: int) -> "CondensationStructure":
         """Same structure on a composite space, acting on the right factor."""
@@ -195,9 +187,16 @@ def finest_respected_structure(
     If nothing merges, `candidate` itself is returned, labels unchanged.
     """
     k = len(candidate.blocks)
-    # self-loops on the diagonal leave the components unchanged
-    n_comp, comp = connected_components(_coupling(u, candidate) > BLOCK_TOL,
-                                        directed=False)
+    # reachability in the undirected coupling graph with self-loops, by
+    # repeated squaring: after ceil(log2 k) squarings every path is covered
+    edges = _coupling(u, candidate) > BLOCK_TOL
+    reach = edges | edges.T | np.eye(k, dtype=bool)
+    for _ in range(max(k - 1, 1).bit_length()):
+        reach = (reach.astype(int) @ reach) > 0
+    # components numbered in order of their smallest member
+    roots = reach.argmax(axis=1)
+    _, comp = np.unique(roots, return_inverse=True)
+    n_comp = int(comp.max()) + 1
     if n_comp == k:
         return candidate
     labels, blocks = [], []

@@ -9,13 +9,14 @@ i hbar d(rho)/dt = [H, rho].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import linalg
 from .config import get_hbar
-from .errors import DimensionMismatch, InsufficientPoints, NotUnitary
+from .errors import DimensionMismatch, InsufficientPoints
 from .iop import InfoOperator, validate
 
 TIME_SPACING_RTOL = 1e-9  # np.allclose bounds on uneven trajectory time steps
@@ -33,11 +34,24 @@ class HamiltonianOp:
 
 @dataclass(frozen=True)
 class UnitaryOp:
+    """A d x d unitary; built by `unitary`, which checks it.
+
+    `defect` bounds its exact ||U^dag U - I||_F: the bound its constructor
+    proved, or measured once on first read.
+    """
+
     dim: int
     matrix: np.ndarray
+    known_defect: InitVar[float | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, known_defect):
         self.matrix.setflags(write=False)
+        if known_defect is not None:
+            self.__dict__["defect"] = known_defect
+
+    @cached_property
+    def defect(self) -> float:
+        return linalg.isometry_bound(self.matrix)
 
 
 def hamiltonian(m) -> HamiltonianOp:
@@ -45,31 +59,40 @@ def hamiltonian(m) -> HamiltonianOp:
     return HamiltonianOp(dim=a.shape[0], matrix=(a + a.conj().T) / 2)
 
 
-def unitary(m) -> UnitaryOp:
+def unitary(m, known_defect=None) -> UnitaryOp:
+    """`m` checked unitary to UNITARITY_TOL (NotUnitary otherwise).
+
+    `known_defect`, a bound on the exact ||U^dag U - I||_F that the caller
+    proved, replaces the dense check when it is within the tolerance.
+    """
     a = linalg.as_cmatrix(m)
     d = linalg.require_square(a)
-    defect = linalg.unitarity_defect(a)
-    if defect > linalg.UNITARITY_TOL:
-        raise NotUnitary(f"unitarity defect {defect:.3e}")
-    return UnitaryOp(dim=d, matrix=a)
+    if known_defect is None or not known_defect <= linalg.UNITARITY_TOL:
+        known_defect = linalg.checked_isometry(a, name="unitarity")
+    return UnitaryOp(dim=d, matrix=a, known_defect=known_defect)
 
 
 def evolve(rho: InfoOperator, u: UnitaryOp) -> InfoOperator:
     """U rho U^dag, validated as the spectral form (w, U V) of rho's (w, V).
 
     No eigensolver runs: the eigenvalues carry over and the eigenvectors
-    rotate, O(d^2 r) for a rank-r spectrum.  validate's isometry check on
-    U V catches a UnitaryOp that is not unitary.
+    rotate, O(d^2 r) for a rank-r spectrum.  The isometry defect of U V
+    is carried as a bound from those of U and V
+    (`linalg.product_defect_bound`), with no Gram product; the dense
+    check on U V runs only when that bound cannot settle UNITARITY_TOL,
+    so it still catches a UnitaryOp that is not unitary, step for step
+    as a check at every step would.
     """
     if rho.dim != u.dim:
         raise DimensionMismatch(f"operator dim {rho.dim} != unitary dim {u.dim}")
     w, v = rho.spectrum
-    return validate(linalg.HermEigen(w, u.matrix @ v))
+    bound = linalg.product_defect_bound(u.defect, rho.isometry_defect, *v.shape)
+    return validate(linalg.HermEigen(w, u.matrix @ v), known_defect=bound)
 
 
 def propagator(h: HamiltonianOp, t0: float, t1: float) -> UnitaryOp:
     """exp(-i (t1 - t0) H / hbar).  t1 < t0 gives reverse-time development."""
-    return UnitaryOp(dim=h.dim, matrix=linalg.mat_exp_herm_generator(h.matrix, t1 - t0))
+    return unitary(linalg.mat_exp_herm_generator(h.matrix, t1 - t0))
 
 
 def schedule_propagator(segments) -> UnitaryOp:
@@ -87,7 +110,7 @@ def schedule_propagator(segments) -> UnitaryOp:
         if h.dim != dim:
             raise DimensionMismatch("schedule segments have mixed dimensions")
         u = linalg.mat_exp_herm_generator(h.matrix, duration) @ u
-    return UnitaryOp(dim=dim, matrix=u)
+    return unitary(u)
 
 
 def motion_residual(h: HamiltonianOp, rho_traj) -> float:

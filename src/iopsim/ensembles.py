@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import UnitaryOp
+from .dynamics import UnitaryOp, unitary
 from .iop import InfoOperator, pure_iop, validate
 
 
@@ -33,7 +33,7 @@ def random_unitary(rng, d) -> UnitaryOp:
     """Haar-distributed unitary: QR of a Ginibre matrix, phases fixed by R."""
     q, r = np.linalg.qr(_ginibre(rng, d))
     q = q * (np.diag(r) / np.abs(np.diag(r)))
-    return UnitaryOp(dim=d, matrix=q)
+    return unitary(q)
 
 
 def random_pure(rng, d) -> InfoOperator:

@@ -42,13 +42,17 @@ class InfoOperator:
     nonnegative ascending eigenvalues; it may be thin (pure_iop keeps
     one column).  `matrix` is the one the constructor had in hand, or,
     for a spectral form, `_from_spectrum(w, V)` built on first read.
+    `isometry_defect` bounds the exact ||V^dag V - I||_F of the
+    spectrum's V: the bound the constructor proved, or measured once on
+    first read.
     """
 
     dim: int
     spectrum: linalg.HermEigen
     known_matrix: InitVar[np.ndarray | None] = None
+    known_defect: InitVar[float | None] = None
 
-    def __post_init__(self, known_matrix):
+    def __post_init__(self, known_matrix, known_defect):
         # read-only views: a caller's own arrays stay writable
         frozen = tuple(a.view() for a in self.spectrum)
         for a in frozen:
@@ -57,12 +61,18 @@ class InfoOperator:
         if known_matrix is not None:
             known_matrix.setflags(write=False)
             self.__dict__["matrix"] = known_matrix
+        if known_defect is not None:
+            self.__dict__["isometry_defect"] = known_defect
 
     @cached_property
     def matrix(self) -> np.ndarray:
         a = _from_spectrum(*self.spectrum)
         a.setflags(write=False)
         return a
+
+    @cached_property
+    def isometry_defect(self) -> float:
+        return linalg.isometry_bound(self.spectrum.eigenvectors)
 
     def diagonal(self) -> np.ndarray:
         """The real diagonal of `matrix`, read from the spectrum: |V|^2 w."""
@@ -102,7 +112,7 @@ class Contraction:
         return (self.q * self.s) @ self.w.conj().T
 
 
-def validate(m) -> InfoOperator:
+def validate(m, known_defect=None) -> InfoOperator:
     """Validate a matrix, or a spectral form `linalg.HermEigen`, as an i-operator.
 
     Eigenvalues in [-POSITIVITY_TOL, 0) are clamped to zero and the trace
@@ -111,10 +121,14 @@ def validate(m) -> InfoOperator:
     without silently accepting genuinely indefinite matrices.  A spectral
     form needs no eigensolver and no matrix: its eigenvectors are checked
     to be orthonormal, its trace is sum_i w_i |v_i|^2, and its matrix is
-    built on first read (at once only when it clamps).
+    built on first read (at once only when it clamps).  `known_defect`,
+    a bound on its eigenvectors' ||V^dag V - I||_F that the caller proved
+    (`dynamics.evolve` carries one), spares the dense isometry check
+    unless it cannot settle UNITARITY_TOL.
     """
+    defect = None
     if isinstance(m, linalg.HermEigen):
-        w, v = linalg.checked_spectrum(m)
+        (w, v), defect = linalg.checked_spectrum(m, known_defect)
         a = None
         tr = float(np.vdot(v * w, v).real)
     else:
@@ -133,7 +147,7 @@ def validate(m) -> InfoOperator:
         tr = float(np.trace(a).real)
         a, w = a / tr, w / tr
     return InfoOperator(dim=v.shape[0], spectrum=linalg.HermEigen(w, v),
-                        known_matrix=a)
+                        known_matrix=a, known_defect=defect)
 
 
 def _from_spectrum(w, v) -> np.ndarray:
@@ -152,7 +166,7 @@ def max_iop(d: int) -> InfoOperator:
         raise ValueError(f"dimension must be >= 1, got {d}")
     return InfoOperator(dim=d, spectrum=linalg.HermEigen(np.full(d, 1.0 / d),
                                                          np.eye(d, dtype=complex)),
-                        known_matrix=np.eye(d, dtype=complex) / d)
+                        known_matrix=np.eye(d, dtype=complex) / d, known_defect=0.0)
 
 
 def pure_iop(psi) -> InfoOperator:
@@ -220,7 +234,11 @@ def contraction_from_mixture(whole: InfoOperator, part: InfoOperator) -> Contrac
     """K mapping a mixture to one of its components.
 
     Valid whenever `part` appears in some convex mixture equal to `whole`,
-    which is checked operationally as support(part) within support(whole).
+    which is checked operationally as support(part) within support(whole):
+    each eigenpair (p_j, v_j) of `part` may put at most
+    SUPPORT_RESIDUAL_TOL of sqrt(p_j) v_j outside the support, the part's
+    own amplitude there, so an eigenvector of tiny weight that leans out
+    through rounding passes.
     The stored spectra, thin or not, are paired from the top (an absent
     eigenvalue is zero); eigenvalue ratios set the scale factors, with a
     zero factor wherever `whole` has (numerically) zero weight.
@@ -231,14 +249,14 @@ def contraction_from_mixture(whole: InfoOperator, part: InfoOperator) -> Contrac
     pw, pv = part.spectrum
     sup = wv[:, ww > SUPPORT_EIGENVALUE_FLOOR]
     checked = np.flatnonzero(pw > SUPPORT_EIGENVALUE_FLOOR)
-    vecs = pv[:, checked]
+    vecs = pv[:, checked] * np.sqrt(pw[checked])
     residuals = np.linalg.norm(vecs - sup @ (sup.conj().T @ vecs), axis=0)
     outside = np.flatnonzero(residuals > SUPPORT_RESIDUAL_TOL)
     if outside.size:
         j = outside[0]
         raise SupportViolation(
             f"part eigenvector {checked[j]} lies outside the mixture's support "
-            f"(residual {residuals[j]:.3e})"
+            f"(weighted residual {residuals[j]:.3e})"
         )
     n = min(ww.size, pw.size)
     ww, wv, pw, pv = ww[-n:], wv[:, -n:], pw[-n:], pv[:, -n:]

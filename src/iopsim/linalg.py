@@ -9,6 +9,7 @@ finiteness at the entry points.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -24,6 +25,7 @@ from .errors import (
 
 HERMITICITY_TOL = 1e-10
 UNITARITY_TOL = 1e-9  # bound on ||V^dag V - I|| for unitaries and isometries
+UNIT_ROUNDOFF = 2.0 ** -53  # float64, round to nearest
 
 
 class HermEigen(NamedTuple):
@@ -138,11 +140,107 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[1])))
 
 
-def checked_spectrum(e: HermEigen) -> HermEigen:
-    """`e` with finite, ascending eigenvalues and isometric eigenvectors.
+def _gamma(k: int) -> float:
+    """k u / (1 - k u): the relative rounding of k chained operations."""
+    return k * UNIT_ROUNDOFF / (1 - k * UNIT_ROUNDOFF)
+
+
+def _product_rounding(n: int) -> float:
+    """c with |fl(A B) - A B| <= c |A| |B| entrywise, inner dimension n.
+
+    Each complex entry's real and imaginary parts are sums of 2n real
+    products, in any order: c = sqrt(2) gamma_2n (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, sections 3.1 and 3.6).
+    """
+    return math.sqrt(2) * _gamma(2 * n)
+
+
+def measured_bound(bound: float, n: int, r: int) -> float:
+    """The most `unitarity_defect` returns for an n x r V of exact defect <= bound.
+
+    ||V||_F^2 = tr(V^dag V) <= r + sqrt(r) bound bounds the Gram's rounding;
+    the norm and the subtraction of I add a relative gamma_{2 r^2 + 4}.
+    """
+    c = _product_rounding(n)
+    return (1 + _gamma(2 * r * r + 4)) * (bound + c * (r + math.sqrt(r) * bound))
+
+
+def _defect_bound(measured: float, n: int, r: int) -> float:
+    """Exact defect of an n x r V whose `unitarity_defect` is `measured`:
+    :func:`measured_bound` solved for the bound."""
+    c = _product_rounding(n)
+    return ((measured / (1 - _gamma(2 * r * r + 4)) + c * r)
+            / (1 - c * math.sqrt(r)))
+
+
+def isometry_bound(v: np.ndarray) -> float:
+    """A bound on the exact ||V^dag V - I||_F of `v`, measured once."""
+    return _defect_bound(unitarity_defect(v), *v.shape)
+
+
+def product_defect_bound(du: float, dv: float, d: int, r: int) -> float:
+    """Bound on the exact isometry defect of the computed U V, no product formed.
+
+    U is d x d of exact defect <= du, V is d x r of exact defect <= dv.
+    Exactly, (UV)^dag UV - I = (V^dag V - I) + V^dag (U^dag U - I) V has
+    norm <= dv + du (1 + dv).  Rounding adds F with ||F|| <= eps =
+    c ||U||_F ||V||_F, and ||UV||_2 <= sqrt((1 + du)(1 + dv)) makes that
+    2 ||UV||_2 eps + eps^2.
+    """
+    eps = _product_rounding(d) * math.sqrt((d + math.sqrt(d) * du)
+                                           * (r + math.sqrt(r) * dv))
+    return (du * (1 + dv) + dv
+            + 2 * math.sqrt((1 + du) * (1 + dv)) * eps + eps * eps)
+
+
+def circulant_defect_bound(column: np.ndarray) -> float:
+    """Bound on the exact ||C^dag C - I||_F of the circulant with first
+    column `column`, in O(n log n).
+
+    C is normal with eigenvalues lam = DFT(column), so its defect is
+    ||(|lam_k|^2 - 1)_k|| (Gray, Toeplitz and Circulant Matrices: A Review,
+    2006).  The computed DFT is off by at most rho ||lam||, rho =
+    3 log2(n) (u + gamma_4 (sqrt(2) + u)): Higham (2002, Theorem 24.2) for
+    radix 2, tripled for mixed radices and Bluestein's three transforms.
+    """
+    n = column.size
+    mod = np.abs(np.fft.fft(column))
+    norm = float(np.linalg.norm(mod))
+    rho = (3 * max(1, math.ceil(math.log2(n)))
+           * (UNIT_ROUNDOFF + _gamma(4) * (math.sqrt(2) + UNIT_ROUNDOFF)))
+    err = rho * norm / (1 - rho) + _gamma(3) * norm  # || |lam| - mod ||
+    top = float(mod.max()) + err
+    measured = float(np.linalg.norm(mod * mod - 1))
+    return (measured * (1 + _gamma(n + 2)) + math.sqrt(n) * _gamma(3) * top ** 2
+            + 2 * err * top)
+
+
+def checked_isometry(v: np.ndarray, bound: float | None = None,
+                     name: str = "isometry") -> float:
+    """A bound on the exact ||V^dag V - I||_F of `v`, checked to UNITARITY_TOL.
+
+    The one isometry decision.  A proven `bound` settles it while the most
+    `unitarity_defect(v)` could then return stays within UNITARITY_TOL;
+    otherwise `unitarity_defect(v)` is computed and decides (NotUnitary
+    above the tolerance), and the bound it implies replaces `bound`.
+    Either way the decision is that of the dense check.
+    """
+    n, r = v.shape
+    if bound is None or not measured_bound(bound, n, r) <= UNITARITY_TOL:
+        measured = unitarity_defect(v)
+        if measured > UNITARITY_TOL:
+            raise NotUnitary(f"{name} defect {measured:.3e}")
+        bound = _defect_bound(measured, n, r)
+    return bound
+
+
+def checked_spectrum(e: HermEigen, bound: float | None = None):
+    """(`e`, its isometry bound), with finite, ascending eigenvalues and
+    isometric eigenvectors.
 
     The eigenvector columns must be orthonormal to UNITARITY_TOL
-    (NotUnitary otherwise), one per eigenvalue and no more than rows.
+    (NotUnitary otherwise, decided by :func:`checked_isometry` from
+    `bound`), one per eigenvalue and no more than rows.
     """
     w = np.asarray(e.eigenvalues, dtype=float)
     v = as_cmatrix(e.eigenvectors)
@@ -153,7 +251,4 @@ def checked_spectrum(e: HermEigen) -> HermEigen:
         raise NotFinite("eigenvalues contain NaN or Inf")
     if (w[1:] < w[:-1]).any():
         raise ValueError("eigenvalues must be in ascending order")
-    defect = unitarity_defect(v)
-    if defect > UNITARITY_TOL:
-        raise NotUnitary(f"isometry defect {defect:.3e}")
-    return HermEigen(w, v)
+    return HermEigen(w, v), checked_isometry(v, bound)

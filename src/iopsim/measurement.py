@@ -26,7 +26,7 @@ from .errors import (
     UnknownLabel,
     ZeroProbabilityOutcome,
 )
-from .iop import SUPPORT_EIGENVALUE_FLOOR, InfoOperator, condition, validate
+from .iop import InfoOperator, condition, validate
 
 COMPLETENESS_TOL = 1e-9
 IMAG_RESIDUE_TOL = 1e-10
@@ -187,29 +187,3 @@ def estimate_probabilities(ms: MeasurementSystem, rho: InfoOperator,
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(n, p)
     return [(m, counts[i] / n) for i, (m, _) in enumerate(probs)]
-
-
-def kraus_from_branches(branches, whole: InfoOperator, f=None) -> MeasurementSystem:
-    """Canonical Kraus family realizing a branch decomposition of `whole`.
-
-    For each branch (label m, weight p, object operator rho_m) this builds
-    M^m = (p rho_m)^(1/2) whole^(-1/2) on the support of `whole`, so that
-    M^m whole (M^m)^dag = p rho_m exactly and the family is complete on
-    that support.  The eigenvalue-ratio contraction construction leaves the
-    pairing free inside degenerate eigenspaces and need not be complete;
-    this square-root form fixes the pairing canonically.
-    """
-    w, v = whole.spectrum
-    inv_sqrt = np.zeros_like(w)
-    pos = w > SUPPORT_EIGENVALUE_FLOOR
-    inv_sqrt[pos] = 1.0 / np.sqrt(w[pos])
-    whole_m12 = (v * inv_sqrt) @ v.conj().T
-    labels, kraus = [], []
-    for br in branches:
-        bw, bv = br.rho_s.spectrum
-        root = (bv * np.sqrt(bw * br.weight)) @ bv.conj().T
-        labels.append(br.label)
-        kraus.append(root @ whole_m12)
-    fmap = f if f is not None else {m: float(i) for i, m in enumerate(labels)}
-    return MeasurementSystem(dim_s=whole.dim, labels=tuple(labels),
-                             kraus=tuple(kraus), f=fmap)

@@ -123,7 +123,7 @@ def stern_gerlach_unitary() -> dynamics.UnitaryOp:
     r_plus, r_minus = _deflection_generators()
     eye2 = np.eye(2, dtype=complex)
     u = 0.25 * (np.kron(eye2 - 2 * S_Z, r_plus) + np.kron(eye2 + 2 * S_Z, r_minus))
-    return dynamics.UnitaryOp(dim=6, matrix=u)
+    return dynamics.unitary(u)
 
 
 def stern_gerlach(p_up_prior: float = 0.5, mc_samples: int = 10000,
@@ -335,7 +335,7 @@ def cat(p_plus: float = 0.3, steps: int = 20, tol_overrides=None) -> ScenarioRep
     # subspace-swapping pulse, and track only the dominant label.
     swap = np.zeros((4, 4), dtype=complex)
     swap[0, 2] = swap[2, 0] = swap[1, 3] = swap[3, 1] = 1.0
-    swap_u = dynamics.UnitaryOp(dim=4, matrix=swap)
+    swap_u = dynamics.unitary(swap)
     start_label = max(initial, key=initial.get)
     walker = condensation.condition_on_label(rho, structure, start_label)
     trajectory = [start_label]
@@ -442,6 +442,8 @@ TWO_SLIT_TOLS = {
     "one_slit_control": 1e-9,
 }
 
+# ||I_coh - I_incoh|| below this is rounding, above it interference
+INTERFERENCE_FLOOR = 1e-9
 TWO_SLIT_DT = 0.5
 TWO_SLIT_DEFAULT_STEPS = 40
 TWO_SLIT_DEFAULT_SLITS = ((40, 44), (84, 88))
@@ -452,8 +454,9 @@ def _ring_propagator(grid_n: int, t: float) -> dynamics.UnitaryOp:
 
     H is circulant, so the DFT diagonalizes it with eigenvalues
     -2 cos(2 pi k / n): the propagator is the circulant whose first column
-    is the inverse DFT of the phases, O(n^2) with no eigensolver.  The
-    absorbed flag dimension is decoupled and stays fixed.
+    is the inverse DFT of the phases, O(n^2) with no eigensolver, and its
+    unitarity defect is read from the DFT of that column.  The absorbed
+    flag dimension is decoupled and stays fixed.
     """
     k = np.arange(grid_n)
     energies = -2.0 * np.cos(2 * np.pi * k / grid_n)
@@ -461,7 +464,16 @@ def _ring_propagator(grid_n: int, t: float) -> dynamics.UnitaryOp:
     u = np.zeros((grid_n + 1, grid_n + 1), dtype=complex)
     u[:grid_n, :grid_n] = column[(k[:, None] - k) % grid_n]
     u[grid_n, grid_n] = 1.0
-    return dynamics.UnitaryOp(dim=grid_n + 1, matrix=u)
+    return dynamics.unitary(u, known_defect=linalg.circulant_defect_bound(column))
+
+
+def _front_reached(grid_n: int, a: int, b: int, reach: float) -> np.ndarray:
+    """Mask of the ring sites within `reach` of the slit sites a..b-1."""
+    x = np.arange(grid_n)
+    # a site outside the slit is nearest to its first site going right or
+    # to its last going left
+    gap = np.minimum((a - x) % grid_n, (x - (b - 1)) % grid_n)
+    return ((x >= a) & (x < b)) | (gap <= reach)
 
 
 def _slit_screen(grid_n: int, slit_sites) -> measurement.MeasurementSystem:
@@ -590,11 +602,36 @@ def two_slit(grid_n: int = 128, p_pass=None,
     central = slice(center - half, center + half)
     contrast_a = float(intensity_a[central].max() - intensity_a[central].min())
     contrast_b = float(intensity_b[central].max() - intensity_b[central].min())
-    if len(slits) >= 2:
-        ck.holds(
-            "interference_contrast", contrast_a > contrast_b,
-            "interference_contrast (coherent must strictly exceed incoherent)",
-            residual=max(0.0, contrast_b - contrast_a))
+    # time of flight: no wave on the ring outruns the band's top group
+    # velocity, 2 sites per unit time at hbar = 1
+    reach = 2 * steps * TWO_SLIT_DT / get_hbar()
+    reached = [_front_reached(grid_n, a, b, reach) for a, b in slits]
+    term = float(np.linalg.norm(intensity_a - intensity_b))
+    if len(slits) == 1:
+        ck.holds("interference_term", term <= INTERFERENCE_FLOOR,
+                 "interference_term (one slit: coherent equals incoherent)",
+                 residual=max(0.0, term - INTERFERENCE_FLOOR))
+    else:
+        if (np.sum(reached, axis=0) >= 2).any():
+            ck.holds("interference_term", term >= INTERFERENCE_FLOOR,
+                     "interference_term (wavefronts met: coherent differs "
+                     "from incoherent)",
+                     residual=max(0.0, INTERFERENCE_FLOOR - term))
+        else:
+            ck.holds("interference_term", True,
+                     "interference_term (vacuous: no two wavefronts have met)")
+        # the window is read once every slit's wave covers it and before
+        # any has run around the ring onto itself
+        if all(r[central].all() for r in reached) and all(
+                2 * reach + b - a < grid_n for a, b in slits):
+            ck.holds(
+                "interference_contrast", contrast_a > contrast_b,
+                "interference_contrast (coherent must strictly exceed incoherent)",
+                residual=max(0.0, contrast_b - contrast_a))
+        else:
+            ck.holds("interference_contrast", True,
+                     "interference_contrast (vacuous: the central window is "
+                     "not in flight of every slit)")
 
     # no-second-path control: with a single slit the operator route and
     # the information-vector route must give the same pattern
@@ -615,6 +652,7 @@ def two_slit(grid_n: int = 128, p_pass=None,
         "intensity_incoherent": [float(x) for x in intensity_b],
         "contrast_coherent": contrast_a,
         "contrast_incoherent": contrast_b,
+        "interference_term": term,
     }
     report.checks = ck.items
     return report

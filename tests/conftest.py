@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from iopsim.iop import SUPPORT_EIGENVALUE_FLOOR
+from iopsim.measurement import MeasurementSystem
+
 # the generators live in the library; tests import them from here
 from iopsim.ensembles import (  # noqa: F401
     random_hermitian,
@@ -13,3 +16,33 @@ from iopsim.ensembles import (  # noqa: F401
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)
+
+
+def projectors(c):
+    """The 0/1 diagonal projector P^m of each group of structure `c`."""
+    return tuple(np.diag(np.isin(np.arange(c.dim), g).astype(complex))
+                 for g in c.blocks)
+
+
+def kraus_from_branches(branches, whole, f=None):
+    """Canonical Kraus family realizing a branch decomposition of `whole`.
+
+    For each branch (label m, weight p, object operator rho_m) this builds
+    M^m = (p rho_m)^(1/2) whole^(-1/2) on the support of `whole`, so that
+    M^m whole (M^m)^dag = p rho_m exactly and the family is complete on
+    that support.
+    """
+    w, v = whole.spectrum
+    inv_sqrt = np.zeros_like(w)
+    pos = w > SUPPORT_EIGENVALUE_FLOOR
+    inv_sqrt[pos] = 1.0 / np.sqrt(w[pos])
+    whole_m12 = (v * inv_sqrt) @ v.conj().T
+    labels, kraus = [], []
+    for br in branches:
+        bw, bv = br.rho_s.spectrum
+        root = (bv * np.sqrt(bw * br.weight)) @ bv.conj().T
+        labels.append(br.label)
+        kraus.append(root @ whole_m12)
+    fmap = f if f is not None else {m: float(i) for i, m in enumerate(labels)}
+    return MeasurementSystem(dim_s=whole.dim, labels=tuple(labels),
+                             kraus=tuple(kraus), f=fmap)

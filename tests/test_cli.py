@@ -34,6 +34,17 @@ class TestRun:
         assert run_cli(["run", "two-slit", "--grid", "64",
                         "--slits", "20:22,42:44", "--steps", "20"]) == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["--grid", "256", "--hbar", "2.5"],
+        ["--grid", "256", "--slits", "80:84,172:176", "--steps", "40"],
+    ], ids=["grid-256-hbar-2.5", "grid-256-far-slits"])
+    def test_two_slit_before_the_waves_meet_exits_zero(self, argv, capsys):
+        # the slits' waves have not met in the central window: both
+        # interference checks are vacuous rather than a last-bit verdict
+        assert run_cli(["run", "two-slit", *argv]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out and "all checks passed" in out
+
     def test_json_output_parses(self, capsys):
         assert run_cli(["run", "spin-one", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)

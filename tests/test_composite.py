@@ -18,7 +18,7 @@ from iopsim.composite import (
 from iopsim.condensation import CondensationStructure, label_probabilities
 from iopsim.iop import Mixture, entropy, is_pure, max_iop, pure_iop, validate
 
-from conftest import random_iop, random_pure
+from conftest import projectors, random_iop, random_pure
 
 
 @pytest.fixture
@@ -115,7 +115,7 @@ class TestBranchDecompose:
         assert abs(sum(b.weight for b in out.branches) - 1.0) <= 1e-9
         projected = sum(
             np.kron(np.eye(2), p) @ rho.matrix @ np.kron(np.eye(2), p)
-            for p in structure.projectors)
+            for p in projectors(structure))
         rebuilt = sum(b.weight * np.kron(b.rho_s.matrix, b.rho_t.matrix)
                       for b in out.branches)
         assert (np.linalg.norm(projected - rebuilt)
@@ -154,7 +154,7 @@ class TestUnconditionalObject:
         assert all(b.residual <= 1e-9 for b in decomp.branches)
         projected = sum(
             np.kron(np.eye(2), p) @ rho.matrix @ np.kron(np.eye(2), p)
-            for p in t_structure.projectors)
+            for p in projectors(t_structure))
         traced = linalg.partial_trace(projected, 2, 4, over="B")
         assert linalg.frobenius_dist(
             unconditional_object(decomp).matrix, traced) <= 1e-8

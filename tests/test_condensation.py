@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -22,7 +24,7 @@ from iopsim.dynamics import UnitaryOp, evolve
 from iopsim.errors import DimensionMismatch, ZeroProbabilityLabel
 from iopsim.iop import max_iop, pure_iop, validate
 
-from conftest import random_iop, random_unitary
+from conftest import projectors, random_iop, random_unitary
 
 
 @pytest.fixture
@@ -102,22 +104,22 @@ def partitions(draw, min_dim=1):
 
 def sandwich_coupling(u, c):
     """Oracle for _coupling: the dense ||P^i U P^j||_F loop."""
-    return np.array([[np.linalg.norm(p @ u.matrix @ q) for q in c.projectors]
-                     for p in c.projectors])
+    return np.array([[np.linalg.norm(p @ u.matrix @ q) for q in projectors(c)]
+                     for p in projectors(c)])
 
 
 def sandwich_finest(u, c, threshold=BLOCK_TOL):
     """Oracle for finest_respected_structure: (labels, projectors)."""
-    k = len(c.projectors)
+    k = len(projectors(c))
     adj = np.zeros((k, k), dtype=bool)
-    for i, p in enumerate(c.projectors):
-        for j, q in enumerate(c.projectors):
+    for i, p in enumerate(projectors(c)):
+        for j, q in enumerate(projectors(c)):
             if i != j and np.linalg.norm(p @ u.matrix @ q) > threshold:
                 adj[i, j] = adj[j, i] = True
     n_comp, comp = connected_components(adj, directed=False)
     groups = [[i for i in range(k) if comp[i] == g] for g in range(n_comp)]
     return (tuple("+".join(str(c.labels[i]) for i in g) for g in groups),
-            [sum(c.projectors[i] for i in g) for g in groups])
+            [sum(projectors(c)[i] for i in g) for g in groups])
 
 
 class TestBlockBasis:
@@ -150,9 +152,9 @@ class TestBlockBasis:
         assume(np.all((off < BLOCK_TOL / 1000) | (off > BLOCK_TOL * 1000)))
         assert respects_condensation(u, c) == bool(np.all(off <= BLOCK_TOL))
         finest = finest_respected_structure(u, c)
-        labels, projectors = sandwich_finest(u, c)
+        labels, oracle = sandwich_finest(u, c)
         assert finest.labels == labels
-        for p, q in zip(finest.projectors, projectors):
+        for p, q in zip(projectors(finest), oracle):
             np.testing.assert_array_equal(p, q)
 
     @given(seed=st.integers(0, 2**32 - 1), c=partitions())
@@ -160,7 +162,7 @@ class TestBlockBasis:
     def test_label_probabilities_match_sandwich(self, seed, c):
         rho = random_iop(np.random.default_rng(seed), c.dim)
         got = dict(label_probabilities(rho, c))
-        for m, p in zip(c.labels, c.projectors):
+        for m, p in zip(c.labels, projectors(c)):
             assert abs(got[m] - np.trace(p @ rho.matrix @ p).real) <= 1e-12
 
     @given(seed=st.integers(0, 2**32 - 1), c=partitions())
@@ -168,7 +170,7 @@ class TestBlockBasis:
     def test_condensed_form_matches_sandwich(self, seed, c):
         rng = np.random.default_rng(seed)
         rho = random_iop(rng, c.dim)
-        projected = sum(p @ rho.matrix @ p for p in c.projectors)
+        projected = sum(p @ rho.matrix @ p for p in projectors(c))
         assert is_condensed_form(rho, c) == bool(
             np.linalg.norm(rho.matrix - projected) <= CONDENSED_TOL)
         assert is_condensed_form(validate(projected), c)
@@ -178,7 +180,7 @@ class TestBlockBasis:
     def test_lift_is_kron_with_identity(self, c, dim_left):
         lifted = c.lift(dim_left)
         eye = np.eye(dim_left)
-        for p, q in zip(lifted.projectors, c.projectors):
+        for p, q in zip(projectors(lifted), projectors(c)):
             np.testing.assert_array_equal(p, np.kron(eye, q))
 
 
@@ -307,3 +309,22 @@ class TestFinestStructure:
         merged = finest_respected_structure(block_diag_unitary(rng, [4, 2]),
                                             candidate)
         assert merged.labels == ("0+1", "2")
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 8])
+    def test_chain_of_couplings_merges_like_the_oracle(self, k):
+        # block j couples only to block j + 1 (a Givens rotation across
+        # their boundary), so merging all k needs paths of length k - 1;
+        # a one-way coupling (a shear, not unitary) merges as well
+        c = CondensationStructure.from_index_blocks(
+            2 * k, {j: [2 * j, 2 * j + 1] for j in range(k)})
+        u = np.eye(2 * k, dtype=complex)
+        for j in range(k - 1):
+            g = np.eye(2 * k, dtype=complex)
+            g[2 * j + 1, 2 * j + 1] = g[2 * j + 2, 2 * j + 2] = math.cos(0.3)
+            g[2 * j + 1, 2 * j + 2], g[2 * j + 2, 2 * j + 1] = -math.sin(0.3), math.sin(0.3)
+            u = g @ u
+        for matrix in (u, np.eye(2 * k) + np.eye(2 * k, k=1)):
+            op = UnitaryOp(dim=2 * k, matrix=matrix.astype(complex))
+            labels, _ = sandwich_finest(op, c)
+            assert finest_respected_structure(op, c).labels == labels
+            assert len(labels) == 1

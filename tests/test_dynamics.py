@@ -18,6 +18,7 @@ from iopsim.dynamics import (
 )
 from iopsim.errors import InsufficientPoints, IopsimError, NotUnitary
 from iopsim.iop import entropy, is_pure, max_iop, validate
+from iopsim.scenarios import _ring_propagator
 
 from conftest import random_hermitian, random_iop, random_pure, random_unitary
 
@@ -152,3 +153,77 @@ class TestUnitaryCheck:
     def test_unitary_accepted(self, rng):
         u = random_unitary(rng, 3).matrix
         assert np.array_equal(unitary(u).matrix, u)
+
+
+def _spectral_iop(rng, d, rank):
+    """A rank-`rank` operator validated from a spectral form."""
+    q, _ = np.linalg.qr(rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank)))
+    w = np.sort(rng.dirichlet(np.ones(rank)))
+    return validate(linalg.HermEigen(w, q))
+
+
+def _unitary_from(source, rng, d, t):
+    if source == "haar":
+        return random_unitary(rng, d)
+    if source == "propagator":
+        return propagator(hamiltonian(random_hermitian(rng, d)), 0.0, t)
+    return _ring_propagator(d - 1, t)
+
+
+class TestCarriedIsometryBound:
+    """evolve carries the isometry defect of U V as a bound, no Gram product."""
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           source=st.sampled_from(["haar", "propagator", "ring"]),
+           data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_bound_covers_the_dense_defect(self, seed, source, data):
+        rng = np.random.default_rng(seed)
+        d = data.draw(st.integers(17, 513) if source == "ring"
+                      else st.integers(1, 48), label="d")
+        u = _unitary_from(source, rng, d, data.draw(st.floats(0.1, 40.0), label="t"))
+        rank = data.draw(st.integers(1, d), label="rank")
+        rho = (random_iop(rng, d) if data.draw(st.booleans(), label="matrix")
+               else _spectral_iop(rng, d, rank))
+        for _ in range(data.draw(st.integers(1, 4), label="steps")):
+            rho = evolve(rho, u)
+            v = rho.spectrum.eigenvectors
+            dense = linalg.unitarity_defect(v)
+            assert rho.isometry_defect >= dense
+            assert linalg.measured_bound(rho.isometry_defect, *v.shape) >= dense
+
+    @pytest.mark.parametrize("d, rank, share", [
+        (4, 4, 0.9), (16, 2, 0.9), (8, 4, 0.3), (64, 64, 0.3), (32, 0, 0.9),
+        (32, 0, 0.3)])
+    def test_rejects_at_the_step_a_dense_check_first_fails(self, d, rank, share):
+        # U = Q D Q^dag with D = diag(1 + e, 1 / (1 + e), ...) has defect
+        # about 2 e sqrt(d), a share of the tolerance.  On equal weights
+        # over pairs of Q's columns the trace moves only at second order,
+        # so the isometry check decides: evolve must accept every step the
+        # dense check on U V accepts and reject the first one it rejects.
+        # Rank 0 stands for the matrix-validated I / d.
+        rng = np.random.default_rng(d + rank)
+        q = random_unitary(rng, d).matrix
+        e = share / 2 * linalg.UNITARITY_TOL / math.sqrt(d)
+        scale = np.tile([1 + e, 1 / (1 + e)], d // 2)
+        u = unitary((q * scale) @ q.conj().T)
+        rho = (validate(np.eye(d) / d) if rank == 0
+               else validate(linalg.HermEigen(np.full(rank, 1 / rank), q[:, :rank])))
+        for step in range(1, 200):
+            v = rho.spectrum.eigenvectors
+            if linalg.unitarity_defect(u.matrix @ v) > linalg.UNITARITY_TOL:
+                with pytest.raises(NotUnitary, match="isometry defect"):
+                    evolve(rho, u)
+                break
+            rho = evolve(rho, u)
+        else:
+            pytest.fail("the dense check never failed")
+        assert step > 1
+
+    def test_unitary_records_its_defect(self, rng):
+        u = random_unitary(rng, 8)
+        assert u.defect >= linalg.unitarity_defect(u.matrix)
+        assert unitary(np.eye(3), known_defect=0.0).defect == 0.0
+        # a claimed bound above the tolerance is checked densely
+        with pytest.raises(NotUnitary, match="unitarity defect"):
+            unitary(np.diag([1.0, 2.0]), known_defect=1.0)

@@ -49,7 +49,7 @@ from iopsim.iop import (
 )
 from iopsim.measurement import MeasurementSystem, post_measurement_object
 
-from conftest import random_iop, random_pure, random_unitary
+from conftest import projectors, random_iop, random_pure, random_unitary
 from test_condensation import partitions
 
 
@@ -226,6 +226,39 @@ class TestContractionFromMixture:
         with pytest.raises(SupportViolation):
             contraction_from_mixture(whole, part)
 
+    def test_part_equal_to_whole_near_the_floor(self):
+        # eigenvalues 5e-11 and 2e-10 straddle SUPPORT_EIGENVALUE_FLOOR: the
+        # part's 2e-10 eigenvector, from a second decomposition, leans ~1e-6
+        # onto the whole's sub-floor one, but carries ~1e-5 of amplitude
+        rng = np.random.default_rng(0)
+        c = CondensationStructure.from_index_blocks(3, {"all": [0, 1, 2]})
+        rejected = 0
+        for _ in range(200):
+            v = random_unitary(rng, 3).matrix
+            whole = validate(v @ np.diag([5e-11, 2e-10, 1 - 2.5e-10]) @ v.conj().T)
+            part = condition_on_label(whole, c, "all")
+            try:
+                contraction_from_mixture(whole, part)
+            except SupportViolation:
+                rejected += 1
+        assert rejected == 0
+
+    @pytest.mark.parametrize("part", [
+        [1, 0, 1e-4],           # amplitude 1e-4 outside the support
+        [0, 1, 1j],             # half its weight outside
+    ])
+    def test_weight_outside_the_support_rejected(self, part):
+        whole = validate(np.diag([0.5, 0.5, 0.0]))
+        with pytest.raises(SupportViolation, match="weighted residual"):
+            contraction_from_mixture(whole, pure_iop(part))
+
+    def test_small_eigenvalue_outside_the_support_rejected(self):
+        # weight 1e-9 on a direction the whole lacks: amplitude 3e-5
+        whole = validate(np.diag([0.5, 0.5, 0.0]))
+        part = validate(np.diag([1 - 1e-9, 0.0, 1e-9]))
+        with pytest.raises(SupportViolation):
+            contraction_from_mixture(whole, part)
+
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 6))
     @settings(max_examples=80, deadline=None)
     def test_random_mixture_round_trip(self, seed, d):
@@ -377,9 +410,9 @@ class TestSpectralForm:
         rng = np.random.default_rng(seed)
         rho = validate(linalg.HermEigen(*raw_spectrum(rng, c.dim, kind)))
         whole = block_projected(rho, c)
-        oracle = sum(p @ rho.matrix @ p for p in c.projectors)
+        oracle = sum(p @ rho.matrix @ p for p in projectors(c))
         assert linalg.frobenius_dist(whole.matrix, validate(oracle).matrix) <= 1e-12
-        for m, p, g in zip(c.labels, c.projectors, c.blocks):
+        for m, p, g in zip(c.labels, projectors(c), c.blocks):
             block = condition(p @ rho.matrix @ p)[1]
             if block is None:
                 with pytest.raises(ZeroProbabilityLabel):

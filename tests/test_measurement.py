@@ -26,13 +26,17 @@ from iopsim.measurement import (
     estimate_probabilities,
     expectation,
     is_definitive,
-    kraus_from_branches,
     observable,
     outcome_probabilities,
     post_measurement_object,
 )
 
-from conftest import random_iop, random_pure, random_unitary
+from conftest import (
+    kraus_from_branches,
+    random_iop,
+    random_pure,
+    random_unitary,
+)
 from test_iop import KINDS, raw_spectrum
 
 

@@ -7,6 +7,7 @@ from iopsim import config, dynamics, linalg, scenarios
 from iopsim.errors import BadParameter, BadSlitGeometry
 from iopsim.measurement import completeness_defect
 from iopsim.scenarios import (
+    INTERFERENCE_FLOOR,
     SCENARIOS,
     cat,
     spin_one_example,
@@ -129,6 +130,40 @@ class TestTwoSlit:
         names = [c.description for c in report.checks]
         assert not any("interference_contrast" in n for n in names)
 
+    def test_single_slit_has_no_interference_term(self):
+        report = two_slit(slit_positions=((40, 44),))
+        term = next(c for c in report.checks
+                    if c.description.startswith("interference_term"))
+        assert term.passed
+        assert report.outputs["interference_term"] <= INTERFERENCE_FLOOR
+
+    def test_two_slits_have_an_interference_term(self):
+        report = two_slit()
+        term = next(c for c in report.checks
+                    if c.description.startswith("interference_term"))
+        assert term.passed and "vacuous" not in term.description
+        assert report.outputs["interference_term"] > 1e3 * INTERFERENCE_FLOOR
+
+    @pytest.mark.parametrize("kwargs, hbar_value", [
+        ({"grid_n": 256}, 2.5),
+        ({"grid_n": 256, "slit_positions": ((80, 84), (172, 176))}, 1.0),
+    ], ids=["grid-256-hbar-2.5", "grid-256-far-slits"])
+    def test_window_check_waits_for_the_waves(self, kwargs, hbar_value):
+        # both geometries once failed interference_contrast on contrasts
+        # equal to rounding: no wave from the far slit had reached the window
+        with config.hbar(hbar_value):
+            report = two_slit(**kwargs)
+        assert report.all_pass()
+        descriptions = [c.description for c in report.checks]
+        assert ("interference_contrast (vacuous: the central window is not "
+                "in flight of every slit)") in descriptions
+
+    def test_bench_geometry_checks_the_window(self):
+        report = two_slit(grid_n=512, slit_positions=((160, 176), (336, 352)),
+                          steps=160)
+        assert report.all_pass()
+        assert not any("vacuous" in c.description for c in report.checks)
+
     def test_overlapping_slits_rejected(self):
         with pytest.raises(BadSlitGeometry):
             two_slit(slit_positions=((40, 44), (42, 46)))
@@ -238,7 +273,7 @@ class TestVerdicts:
         ("cat", {}),
         ("spin-one", {}),
         ("two-slit", {}),
-        # a geometry whose interference_contrast check fails
+        # a geometry whose interference checks are vacuous
         ("two-slit", {"grid_n": 256, "slit_positions": ((80, 84), (172, 176))}),
     ], ids=["stern-gerlach", "stern-gerlach-p-up-1", "cat", "spin-one",
             "two-slit", "two-slit-grid-256"])
@@ -251,6 +286,7 @@ class TestVerdicts:
         ("cat", "superposition_not_condensed"),
         ("spin-one", "disjoint_support_rejected"),
         ("two-slit", "interference_contrast"),
+        ("two-slit", "interference_term"),
     ])
     def test_yes_no_checks_take_no_tolerance(self, name, tol):
         with pytest.raises(BadParameter, match="unknown tolerance names"):

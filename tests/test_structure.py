@@ -12,9 +12,12 @@ it is read.
 import ast
 import importlib
 import inspect
+import os
 import pathlib
 import pkgutil
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -40,7 +43,7 @@ from iopsim.measurement import (
 )
 from iopsim.scenarios import two_slit
 
-from conftest import random_iop, random_unitary
+from conftest import projectors, random_iop, random_unitary
 from test_iop import holds_matrix
 
 SRC = pathlib.Path(iopsim.__file__).parent
@@ -106,7 +109,7 @@ def test_spectral_results_build_their_matrix_on_first_read(step):
     rng = np.random.default_rng(7)
     rho = random_iop(rng, 6)
     c = CondensationStructure.from_index_blocks(6, {"a": [0, 2, 4], "b": [1, 3, 5]})
-    ms = MeasurementSystem.projective(dict(zip(c.labels, c.projectors)))
+    ms = MeasurementSystem.projective(dict(zip(c.labels, projectors(c))))
     out = {"evolve": lambda: evolve(rho, random_unitary(rng, 6)),
            "post_measurement_object": lambda: post_measurement_object(ms, rho, "a"),
            "block_projected": lambda: block_projected(rho, c),
@@ -212,3 +215,33 @@ def test_contract_diagonalizes_only_the_part_rank(eigensolver_shapes):
     assert eigensolver_shapes and all(max(s) <= 16 for s in eigensolver_shapes)
     assert not holds_matrix(whole)
     assert linalg.frobenius_dist(back.matrix, part.matrix) <= 1e-10
+
+
+def test_evolve_chain_checks_the_isometry_at_most_once(monkeypatch):
+    # U was checked by `unitary` and rho by `validate`: a 50-step chain at
+    # d = 128 carries the isometry defect as a bound and forms no Gram
+    # product, apart from measuring once the eigh-validated rho's own
+    rng = np.random.default_rng(19)
+    u = random_unitary(rng, 128)
+    rho = random_iop(rng, 128)
+    calls = []
+
+    def counted(v, _defect=linalg.unitarity_defect):
+        calls.append(v.shape)
+        return _defect(v)
+
+    monkeypatch.setattr(linalg, "unitarity_defect", counted)
+    for _ in range(50):
+        rho = evolve(rho, u)
+    assert len(calls) <= 1
+    assert rho.isometry_defect <= linalg.UNITARITY_TOL
+
+
+def test_cli_import_loads_no_scipy():
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    code = ("import sys, iopsim.cli, iopsim.scenarios; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
