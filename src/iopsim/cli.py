@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 
@@ -50,8 +51,9 @@ def _parse_tols(pairs):
             tols[name] = float(value)
         except ValueError:
             raise BadParameter(f"tolerance {name!r} has non-numeric value {value!r}")
-        if tols[name] <= 0:
-            raise BadParameter(f"tolerance {name!r} must be positive")
+        if not (tols[name] > 0 and math.isfinite(tols[name])):
+            raise BadParameter(f"tolerance {name!r} must be positive and finite, "
+                               f"got {value}")
     return tols
 
 
@@ -173,7 +175,7 @@ def _validate_file(path):
             validate(m)
         except (NotHermitian, TraceNotOne, NotPositive) as exc:
             trace = float(np.trace(m).real)
-            min_eig = float(linalg.eigh((m + m.conj().T) / 2, vectors=False)[0])
+            min_eig = float(linalg.eigh((m + m.conj().T) / 2).eigenvalues[0])
             print(f"operator {i}: invalid ({type(exc).__name__}): {exc}; "
                   f"hermiticity residual {linalg.hermiticity_defect(m):.3e}, "
                   f"trace residual {abs(trace - 1.0):.3e}, "

@@ -1,14 +1,14 @@
 """Condensation structures.
 
 A condensation structure is a labeled partition of the basis indices
-0..dim-1 into groups, valid over a declared time period: label m stands
-for the span of its group, whose projector P^m is the 0/1 diagonal on the
-group (an empty group has rank 0).  While the dynamics respects the
-structure (block-diagonal unitaries), the probability of each label is a
-constant of the motion, and conditioning on a label projects and
-renormalizes into that subspace.  Every operation indexes the operator or
-unitary by the groups; other orthogonal subspaces become such a partition
-once the operator and unitary are rotated into a basis adapted to them.
+0..dim-1 into groups: label m stands for the span of its group, whose
+projector P^m is the 0/1 diagonal on the group (an empty group has rank
+0).  While the dynamics respects the structure (block-diagonal
+unitaries), the probability of each label is a constant of the motion,
+and conditioning on a label projects and renormalizes into that
+subspace.  Every operation indexes the operator or unitary by the
+groups; other orthogonal subspaces become such a partition once the
+operator and unitary are rotated into a basis adapted to them.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ class CondensationStructure:
     dim: int
     labels: tuple
     blocks: tuple       # one sorted tuple of basis indices per label
-    period: tuple       # (tau1, tau2)
 
     def __post_init__(self):
         if (isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer))
@@ -48,9 +47,6 @@ class CondensationStructure:
             raise ValueError("labels and blocks must be nonempty and aligned")
         if len(set(labels)) != len(labels):
             raise ValueError("labels must be distinct")
-        tau1, tau2 = float(self.period[0]), float(self.period[1])
-        if not tau1 < tau2:
-            raise ValueError(f"period must satisfy tau1 < tau2, got {self.period}")
         flat = sorted(j for g in blocks for j in g)
         if flat and not 0 <= flat[0] <= flat[-1] < self.dim:
             raise DimensionMismatch(
@@ -59,16 +55,14 @@ class CondensationStructure:
             raise ValueError("blocks must hold each basis index exactly once")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "period", (tau1, tau2))
 
     @classmethod
-    def from_index_blocks(cls, dim, blocks, period=(0.0, 1.0)):
+    def from_index_blocks(cls, dim, blocks):
         """Structure whose subspaces are spans of basis-index groups.
 
         `blocks` maps label -> iterable of basis indices.
         """
-        return cls(dim=dim, labels=tuple(blocks), blocks=tuple(blocks.values()),
-                   period=period)
+        return cls(dim=dim, labels=tuple(blocks), blocks=tuple(blocks.values()))
 
     def lift(self, dim_left: int) -> "CondensationStructure":
         """Same structure on a composite space, acting on the right factor."""
@@ -76,9 +70,7 @@ class CondensationStructure:
             dim=dim_left * self.dim,
             labels=self.labels,
             blocks=tuple(tuple(i * self.dim + j for i in range(dim_left) for j in g)
-                         for g in self.blocks),
-            period=self.period,
-        )
+                         for g in self.blocks))
 
 
 def _owner(c: CondensationStructure) -> np.ndarray:
@@ -205,6 +197,4 @@ def finest_respected_structure(
         labels.append("+".join(str(candidate.labels[i]) for i in members))
         blocks.append([j for i in members for j in candidate.blocks[i]])
     return CondensationStructure(
-        dim=candidate.dim, labels=tuple(labels), blocks=tuple(blocks),
-        period=candidate.period,
-    )
+        dim=candidate.dim, labels=tuple(labels), blocks=tuple(blocks))

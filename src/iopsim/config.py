@@ -23,17 +23,13 @@ def get_hbar() -> float:
     return _HBAR.get()
 
 
-def set_hbar(value: float) -> None:
-    if not (value > 0 and math.isfinite(value)):
-        raise BadParameter(f"hbar must be positive and finite, got {value}")
-    _HBAR.set(float(value))
-
-
 @contextmanager
 def hbar(value: float):
     """Temporarily override hbar (used by the CLI and tests)."""
+    if not (value > 0 and math.isfinite(value)):
+        raise BadParameter(f"hbar must be positive and finite, got {value}")
     old = get_hbar()
-    set_hbar(value)
+    _HBAR.set(float(value))
     try:
         yield
     finally:

@@ -1,16 +1,13 @@
 """Time development of i-operators.
 
-Evolution is always unitary conjugation.  Unitaries come either from a
-single Hermitian generator, or from a piecewise-constant schedule of
-generators (used for interactions that switch on and off).  A residual
-check compares a sampled trajectory against the equation of motion
-i hbar d(rho)/dt = [H, rho].
+Evolution is always unitary conjugation by the propagator of a Hermitian
+generator.  A residual check compares a sampled trajectory against the
+equation of motion i hbar d(rho)/dt = [H, rho].
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,22 +33,16 @@ class HamiltonianOp:
 class UnitaryOp:
     """A d x d unitary; built by `unitary`, which checks it.
 
-    `defect` bounds its exact ||U^dag U - I||_F: the bound its constructor
-    proved, or measured once on first read.
+    `defect` bounds its exact ||U^dag U - I||_F when `unitary` proved one,
+    and is None otherwise.
     """
 
     dim: int
     matrix: np.ndarray
-    known_defect: InitVar[float | None] = None
+    defect: float | None = None
 
-    def __post_init__(self, known_defect):
+    def __post_init__(self):
         self.matrix.setflags(write=False)
-        if known_defect is not None:
-            self.__dict__["defect"] = known_defect
-
-    @cached_property
-    def defect(self) -> float:
-        return linalg.isometry_bound(self.matrix)
 
 
 def hamiltonian(m) -> HamiltonianOp:
@@ -69,48 +60,32 @@ def unitary(m, known_defect=None) -> UnitaryOp:
     d = linalg.require_square(a)
     if known_defect is None or not known_defect <= linalg.UNITARITY_TOL:
         known_defect = linalg.checked_isometry(a, name="unitarity")
-    return UnitaryOp(dim=d, matrix=a, known_defect=known_defect)
+    return UnitaryOp(dim=d, matrix=a, defect=known_defect)
 
 
 def evolve(rho: InfoOperator, u: UnitaryOp) -> InfoOperator:
     """U rho U^dag, validated as the spectral form (w, U V) of rho's (w, V).
 
     No eigensolver runs: the eigenvalues carry over and the eigenvectors
-    rotate, O(d^2 r) for a rank-r spectrum.  The isometry defect of U V
-    is carried as a bound from those of U and V
-    (`linalg.product_defect_bound`), with no Gram product; the dense
-    check on U V runs only when that bound cannot settle UNITARITY_TOL,
-    so it still catches a UnitaryOp that is not unitary, step for step
-    as a check at every step would.
+    rotate, O(d^2 r) for a rank-r spectrum.  When U and V both carry an
+    isometry-defect bound, that of U V is carried from them
+    (`linalg.product_defect_bound`), with no Gram product; otherwise, or
+    when that bound cannot settle UNITARITY_TOL, the dense check on U V
+    runs, so it still catches a UnitaryOp that is not unitary, step for
+    step as a check at every step would.
     """
     if rho.dim != u.dim:
         raise DimensionMismatch(f"operator dim {rho.dim} != unitary dim {u.dim}")
     w, v = rho.spectrum
-    bound = linalg.product_defect_bound(u.defect, rho.isometry_defect, *v.shape)
+    bound = None
+    if u.defect is not None and rho.isometry_defect is not None:
+        bound = linalg.product_defect_bound(u.defect, rho.isometry_defect, *v.shape)
     return validate(linalg.HermEigen(w, u.matrix @ v), known_defect=bound)
 
 
 def propagator(h: HamiltonianOp, t0: float, t1: float) -> UnitaryOp:
     """exp(-i (t1 - t0) H / hbar).  t1 < t0 gives reverse-time development."""
     return unitary(linalg.mat_exp_herm_generator(h.matrix, t1 - t0))
-
-
-def schedule_propagator(segments) -> UnitaryOp:
-    """Ordered product of propagators for (duration, HamiltonianOp) segments.
-
-    Models piecewise-constant time dependence, e.g. an interaction term
-    that vanishes outside a finite window.
-    """
-    segments = list(segments)
-    if not segments:
-        raise ValueError("schedule must contain at least one segment")
-    dim = segments[0][1].dim
-    u = np.eye(dim, dtype=complex)
-    for duration, h in segments:
-        if h.dim != dim:
-            raise DimensionMismatch("schedule segments have mixed dimensions")
-        u = linalg.mat_exp_herm_generator(h.matrix, duration) @ u
-    return unitary(u)
 
 
 def motion_residual(h: HamiltonianOp, rho_traj) -> float:

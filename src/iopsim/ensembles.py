@@ -17,11 +17,6 @@ def _ginibre(rng, d) -> np.ndarray:
     return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
 
 
-def random_hermitian(rng, d) -> np.ndarray:
-    a = _ginibre(rng, d)
-    return (a + a.conj().T) / 2
-
-
 def random_iop(rng, d) -> InfoOperator:
     """Full-rank i-operator A A^dag / tr(A A^dag) from a Ginibre matrix A."""
     a = _ginibre(rng, d)

@@ -43,16 +43,16 @@ class InfoOperator:
     one column).  `matrix` is the one the constructor had in hand, or,
     for a spectral form, `_from_spectrum(w, V)` built on first read.
     `isometry_defect` bounds the exact ||V^dag V - I||_F of the
-    spectrum's V: the bound the constructor proved, or measured once on
-    first read.
+    spectrum's V when the constructor proved one (`validate` of a
+    spectral form, `max_iop`), and is None otherwise.
     """
 
     dim: int
     spectrum: linalg.HermEigen
     known_matrix: InitVar[np.ndarray | None] = None
-    known_defect: InitVar[float | None] = None
+    isometry_defect: float | None = None
 
-    def __post_init__(self, known_matrix, known_defect):
+    def __post_init__(self, known_matrix):
         # read-only views: a caller's own arrays stay writable
         frozen = tuple(a.view() for a in self.spectrum)
         for a in frozen:
@@ -61,18 +61,12 @@ class InfoOperator:
         if known_matrix is not None:
             known_matrix.setflags(write=False)
             self.__dict__["matrix"] = known_matrix
-        if known_defect is not None:
-            self.__dict__["isometry_defect"] = known_defect
 
     @cached_property
     def matrix(self) -> np.ndarray:
         a = _from_spectrum(*self.spectrum)
         a.setflags(write=False)
         return a
-
-    @cached_property
-    def isometry_defect(self) -> float:
-        return linalg.isometry_bound(self.spectrum.eigenvectors)
 
     def diagonal(self) -> np.ndarray:
         """The real diagonal of `matrix`, read from the spectrum: |V|^2 w."""
@@ -102,10 +96,6 @@ class Contraction:
     @property
     def source_dim(self) -> int:
         return self.w.shape[0]
-
-    @property
-    def target_dim(self) -> int:
-        return self.q.shape[0]
 
     @cached_property
     def k(self) -> np.ndarray:
@@ -147,7 +137,7 @@ def validate(m, known_defect=None) -> InfoOperator:
         tr = float(np.trace(a).real)
         a, w = a / tr, w / tr
     return InfoOperator(dim=v.shape[0], spectrum=linalg.HermEigen(w, v),
-                        known_matrix=a, known_defect=defect)
+                        known_matrix=a, isometry_defect=defect)
 
 
 def _from_spectrum(w, v) -> np.ndarray:
@@ -166,7 +156,8 @@ def max_iop(d: int) -> InfoOperator:
         raise ValueError(f"dimension must be >= 1, got {d}")
     return InfoOperator(dim=d, spectrum=linalg.HermEigen(np.full(d, 1.0 / d),
                                                          np.eye(d, dtype=complex)),
-                        known_matrix=np.eye(d, dtype=complex) / d, known_defect=0.0)
+                        known_matrix=np.eye(d, dtype=complex) / d,
+                        isometry_defect=0.0)
 
 
 def pure_iop(psi) -> InfoOperator:

@@ -2,7 +2,7 @@
 
 Everything above this module is expressed through a handful of primitives:
 Hermitian eigendecomposition, the matrix exponential of a Hermitian
-generator, Kronecker products, partial traces and Frobenius distances.
+generator, partial traces and Frobenius distances.
 Matrices are plain complex numpy arrays; helpers here validate shape and
 finiteness at the entry points.
 """
@@ -77,22 +77,15 @@ def hermitian(m) -> np.ndarray:
     return a
 
 
-def eigh(a: np.ndarray, vectors: bool = True):
-    """eigh, or eigvalsh if not `vectors`, of a matrix known to be Hermitian.
+def eigh(a: np.ndarray) -> HermEigen:
+    """Eigendecomposition of a matrix known to be Hermitian.
 
-    The one call site of numpy's eigensolvers; LinAlgError -> NoConvergence.
+    The one call site of numpy's eigensolver; LinAlgError -> NoConvergence.
     """
     try:
-        if vectors:
-            return HermEigen(*np.linalg.eigh(a))
-        return np.linalg.eigvalsh(a)
+        return HermEigen(*np.linalg.eigh(a))
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-
-
-def herm_eig(a) -> HermEigen:
-    """Eigendecomposition of `a` after the :func:`hermitian` entry check."""
-    return eigh(hermitian(a))
 
 
 def mat_exp_herm_generator(h, t: float) -> np.ndarray:
@@ -101,13 +94,9 @@ def mat_exp_herm_generator(h, t: float) -> np.ndarray:
     Computed spectrally rather than by series so the result is unitary
     up to roundoff.
     """
-    w, v = herm_eig(h)
+    w, v = eigh(hermitian(h))
     phases = np.exp(-1j * t * w / get_hbar())
     return (v * phases) @ v.conj().T
-
-
-def kron(a, b) -> np.ndarray:
-    return np.kron(as_cmatrix(a), as_cmatrix(b))
 
 
 def partial_trace(ab, dim_a: int, dim_b: int, over: str) -> np.ndarray:
@@ -171,11 +160,6 @@ def _defect_bound(measured: float, n: int, r: int) -> float:
     c = _product_rounding(n)
     return ((measured / (1 - _gamma(2 * r * r + 4)) + c * r)
             / (1 - c * math.sqrt(r)))
-
-
-def isometry_bound(v: np.ndarray) -> float:
-    """A bound on the exact ||V^dag V - I||_F of `v`, measured once."""
-    return _defect_bound(unitarity_defect(v), *v.shape)
 
 
 def product_defect_bound(du: float, dv: float, d: int, r: int) -> float:

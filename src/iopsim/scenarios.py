@@ -277,7 +277,7 @@ def cat(p_plus: float = 0.3, steps: int = 20, tol_overrides=None) -> ScenarioRep
                             inputs={"p_plus": p_plus, "steps": steps})
 
     structure = condensation.CondensationStructure.from_index_blocks(
-        4, {"+": [0, 1], "-": [2, 3]}, period=(0.0, steps * _CAT_DT))
+        4, {"+": [0, 1], "-": [2, 3]})
     h = np.zeros((4, 4), dtype=complex)
     h[:2, :2] = _CAT_H_PLUS
     h[2:, 2:] = _CAT_H_MINUS
@@ -597,9 +597,9 @@ def two_slit(grid_n: int = 128, p_pass=None,
     if symmetric_slits:
         ck.residual("symmetry", float(np.max(np.abs(intensity_a - mirrored))))
 
-    center = grid_n // 2
-    half = grid_n // 8
-    central = slice(center - half, center + half)
+    # max - min over the central window, reported but not checked: it is
+    # not a law (coherent need not exceed incoherent there)
+    central = slice(grid_n // 2 - grid_n // 8, grid_n // 2 + grid_n // 8)
     contrast_a = float(intensity_a[central].max() - intensity_a[central].min())
     contrast_b = float(intensity_b[central].max() - intensity_b[central].min())
     # time of flight: no wave on the ring outruns the band's top group
@@ -611,27 +611,14 @@ def two_slit(grid_n: int = 128, p_pass=None,
         ck.holds("interference_term", term <= INTERFERENCE_FLOOR,
                  "interference_term (one slit: coherent equals incoherent)",
                  residual=max(0.0, term - INTERFERENCE_FLOOR))
+    elif (np.sum(reached, axis=0) >= 2).any():
+        ck.holds("interference_term", term >= INTERFERENCE_FLOOR,
+                 "interference_term (wavefronts met: coherent differs "
+                 "from incoherent)",
+                 residual=max(0.0, INTERFERENCE_FLOOR - term))
     else:
-        if (np.sum(reached, axis=0) >= 2).any():
-            ck.holds("interference_term", term >= INTERFERENCE_FLOOR,
-                     "interference_term (wavefronts met: coherent differs "
-                     "from incoherent)",
-                     residual=max(0.0, INTERFERENCE_FLOOR - term))
-        else:
-            ck.holds("interference_term", True,
-                     "interference_term (vacuous: no two wavefronts have met)")
-        # the window is read once every slit's wave covers it and before
-        # any has run around the ring onto itself
-        if all(r[central].all() for r in reached) and all(
-                2 * reach + b - a < grid_n for a, b in slits):
-            ck.holds(
-                "interference_contrast", contrast_a > contrast_b,
-                "interference_contrast (coherent must strictly exceed incoherent)",
-                residual=max(0.0, contrast_b - contrast_a))
-        else:
-            ck.holds("interference_contrast", True,
-                     "interference_contrast (vacuous: the central window is "
-                     "not in flight of every slit)")
+        ck.holds("interference_term", True,
+                 "interference_term (vacuous: no two wavefronts have met)")
 
     # no-second-path control: with a single slit the operator route and
     # the information-vector route must give the same pattern

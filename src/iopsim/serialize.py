@@ -8,7 +8,6 @@ All emitted JSON is deterministic: keys sorted, no timestamps.
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -26,17 +25,8 @@ def matrix_to_json(a: np.ndarray) -> dict:
     return out
 
 
-@contextmanager
-def fields_of(kind: str):
-    """Report a missing key or a wrong-typed field of a `kind` as ParseError."""
-    try:
-        yield
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"malformed {kind} object: {exc}") from exc
-
-
 def matrix_from_json(obj) -> np.ndarray:
-    with fields_of("matrix"):
+    try:
         rows = int(obj["dim"])
         cols = int(obj.get("dim_cols", rows))
         if rows < 1 or cols < 1:
@@ -46,6 +36,9 @@ def matrix_from_json(obj) -> np.ndarray:
             raise ParseError(f"expected {rows * cols} entries, got {len(entries)}")
         flat = np.array([complex(float(re), float(im)) for re, im in entries],
                         dtype=complex)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # a missing key or a wrong-typed field
+        raise ParseError(f"malformed matrix object: {exc}") from exc
     return flat.reshape(rows, cols)
 
 

@@ -6,7 +6,6 @@ from iopsim.measurement import MeasurementSystem
 
 # the generators live in the library; tests import them from here
 from iopsim.ensembles import (  # noqa: F401
-    random_hermitian,
     random_iop,
     random_pure,
     random_unitary,
@@ -16,6 +15,12 @@ from iopsim.ensembles import (  # noqa: F401
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)
+
+
+def random_hermitian(rng, d):
+    """(A + A^dag) / 2 for a Ginibre matrix A; only the tests draw one."""
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return (a + a.conj().T) / 2
 
 
 def projectors(c):

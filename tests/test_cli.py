@@ -194,15 +194,20 @@ class TestErrorContract:
          "unknown tolerance names"),
         (["run", "spin-one", "--tol", "disjoint_support_rejected=1"], None, None,
          "unknown tolerance names"),
-        (["run", "two-slit", "--tol", "interference_contrast=1"], None, None,
+        (["run", "two-slit", "--tol", "interference_term=1"], None, None,
          "unknown tolerance names"),
+        # a tolerance must be a finite positive number, as --hbar must
+        (["run", "spin-one", "--tol", "entropy_values=nan"], None, None,
+         "tolerance 'entropy_values' must be positive and finite, got nan"),
+        (["run", "spin-one", "--tol", "entropy_values=inf"], None, None,
+         "tolerance 'entropy_values' must be positive and finite, got inf"),
     ], ids=["mc-samples-0", "hbar-0", "seed-env-abc", "slits-40-44",
             "grid-over-cap", "validate-nan", "mc-samples-over-int64",
             "seed-negative", "validate-float-overflow",
             "validate-int-digit-limit", "validate-deep-nesting",
             "tol-interaction-dissolves-condensation",
             "tol-superposition-not-condensed", "tol-disjoint-support-rejected",
-            "tol-interference-contrast"])
+            "tol-interference-term", "tol-nan", "tol-inf"])
     def test_exits_one_with_message(self, argv, env, text, message, tmp_path,
                                     monkeypatch, capsys):
         if env is not None:
@@ -214,16 +219,6 @@ class TestErrorContract:
         assert run_cli(argv) == 1
         captured = capsys.readouterr()
         assert message in (captured.out + captured.err).splitlines()[-1]
-
-    def test_script_bad_slits_exits_one(self):
-        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-        proc = subprocess.run(
-            [sys.executable, os.path.join(ROOT, "scripts", "run_two_slit.py"),
-             "--slits", "40-44"],
-            capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 1
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.strip() == "error: slit range must be a:b, got '40-44'"
 
 
 class TestUsageErrors:

@@ -47,13 +47,11 @@ def block_diag_unitary(rng, sizes):
 class TestStructureValidation:
     def test_requires_completeness(self):
         with pytest.raises(ValueError):
-            CondensationStructure(dim=3, labels=("a",), blocks=((0, 1),),
-                                  period=(0.0, 1.0))
+            CondensationStructure(dim=3, labels=("a",), blocks=((0, 1),))
 
     def test_requires_orthogonality(self):
         with pytest.raises(ValueError):
-            CondensationStructure(dim=2, labels=("a", "b"), blocks=((0,), (0,)),
-                                  period=(0.0, 1.0))
+            CondensationStructure(dim=2, labels=("a", "b"), blocks=((0,), (0,)))
 
     @pytest.mark.parametrize("blocks, error", [
         ({"a": [0], "b": [-1]}, DimensionMismatch),

@@ -13,11 +13,10 @@ from iopsim.dynamics import (
     hamiltonian,
     motion_residual,
     propagator,
-    schedule_propagator,
     unitary,
 )
 from iopsim.errors import InsufficientPoints, IopsimError, NotUnitary
-from iopsim.iop import entropy, is_pure, max_iop, validate
+from iopsim.iop import entropy, is_pure, max_iop, pure_iop, validate
 from iopsim.scenarios import _ring_propagator
 
 from conftest import random_hermitian, random_iop, random_pure, random_unitary
@@ -80,25 +79,6 @@ class TestPropagator:
         u = propagator(h, 0.0, eps)
         assert linalg.unitarity_defect(u.matrix) <= 1e-10
         assert np.linalg.norm(u.matrix - np.eye(4)) <= 2 * eps * np.linalg.norm(h.matrix)
-
-
-class TestSchedulePropagator:
-    def test_single_segment_matches_propagator(self, rng):
-        h = hamiltonian(random_hermitian(rng, 3))
-        u1 = schedule_propagator([(0.8, h)])
-        u2 = propagator(h, 0.0, 0.8)
-        assert linalg.frobenius_dist(u1.matrix, u2.matrix) <= 1e-12
-
-    def test_interaction_window(self, rng):
-        # free - interacting - free: the window contributes its own factor
-        h_free = hamiltonian(random_hermitian(rng, 3))
-        h_int = hamiltonian(random_hermitian(rng, 3))
-        u = schedule_propagator([(0.5, h_free), (1.0, h_int), (0.5, h_free)])
-        expected = (propagator(h_free, 0.0, 0.5).matrix
-                    @ propagator(h_int, 0.0, 1.0).matrix
-                    @ propagator(h_free, 0.0, 0.5).matrix)
-        assert linalg.frobenius_dist(u.matrix, expected) <= 1e-10
-        assert linalg.unitarity_defect(u.matrix) <= 1e-10
 
 
 class TestMotionResidual:
@@ -227,3 +207,14 @@ class TestCarriedIsometryBound:
         # a claimed bound above the tolerance is checked densely
         with pytest.raises(NotUnitary, match="unitarity defect"):
             unitary(np.diag([1.0, 2.0]), known_defect=1.0)
+
+
+def test_only_proven_bounds_are_carried(rng):
+    # an eigh-validated or pure operator and a directly built UnitaryOp
+    # carry no bound; evolve then measures U V once and carries that
+    assert validate(np.eye(2) / 2).isometry_defect is None
+    assert pure_iop([1, 0]).isometry_defect is None
+    assert max_iop(2).isometry_defect == 0.0
+    assert UnitaryOp(dim=2, matrix=np.eye(2, dtype=complex)).defect is None
+    rho = evolve(random_iop(rng, 3), random_unitary(rng, 3))
+    assert rho.isometry_defect >= linalg.unitarity_defect(rho.spectrum.eigenvectors)

@@ -14,30 +14,33 @@ from conftest import random_hermitian
 
 
 class TestHermEig:
+    """`eigh` after the `hermitian` entry check."""
+
     def test_diagonal_input(self):
-        w, v = linalg.herm_eig(np.diag([2.0, 1.0]))
+        w, v = linalg.eigh(linalg.hermitian(np.diag([2.0, 1.0])))
         np.testing.assert_allclose(w, [1.0, 2.0])
         # eigenvectors are the permuted identity
         np.testing.assert_allclose(np.abs(v), [[0, 1], [1, 0]], atol=1e-12)
 
     def test_identity(self):
-        w, _ = linalg.herm_eig(np.eye(3))
+        w, _ = linalg.eigh(linalg.hermitian(np.eye(3)))
         np.testing.assert_allclose(w, [1.0, 1.0, 1.0])
 
     def test_pauli_x(self):
         # characteristic polynomial lambda^2 - 1 = 0
-        w, _ = linalg.herm_eig(np.array([[0, 1], [1, 0]], dtype=complex))
+        x = np.array([[0, 1], [1, 0]], dtype=complex)
+        w, _ = linalg.eigh(linalg.hermitian(x))
         np.testing.assert_allclose(w, [-1.0, 1.0], atol=1e-12)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
-            linalg.herm_eig(np.array([[0, 1], [0, 0]], dtype=complex))
+            linalg.hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
 
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 16))
     @settings(max_examples=60, deadline=None)
     def test_reconstruction_and_orthonormality(self, seed, d):
         a = random_hermitian(np.random.default_rng(seed), d)
-        w, v = linalg.herm_eig(a)
+        w, v = linalg.eigh(linalg.hermitian(a))
         scale = max(1.0, float(np.linalg.norm(a)))
         assert np.linalg.norm((v * w) @ v.conj().T - a) <= 1e-10 * scale
         assert np.linalg.norm(v.conj().T @ v - np.eye(d)) <= 1e-10
@@ -88,36 +91,6 @@ class TestMatExp:
             assert get_hbar() == 2.5
         assert not worker.is_alive()
         assert seen == [1.0]
-
-
-class TestKron:
-    def test_identity_blocks(self):
-        np.testing.assert_allclose(linalg.kron(np.eye(2), np.eye(3)), np.eye(6))
-
-    @given(seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_trace_multiplicative(self, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        assert np.isclose(np.trace(linalg.kron(a, b)), np.trace(a) * np.trace(b))
-
-    @given(seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=20, deadline=None)
-    def test_associative(self, seed):
-        rng = np.random.default_rng(seed)
-        a, b, c = (rng.normal(size=(2, 2)) for _ in range(3))
-        left = linalg.kron(linalg.kron(a, b), c)
-        right = linalg.kron(a, linalg.kron(b, c))
-        np.testing.assert_allclose(left, right, atol=1e-14)
-
-    def test_deflection_block_placement(self):
-        # diag(0, 2) (x) B puts 2B in the lower-right 3x3 block, zeros elsewhere
-        b = np.arange(9, dtype=complex).reshape(3, 3)
-        out = linalg.kron(np.diag([0.0, 2.0]), b)
-        np.testing.assert_allclose(out[:3, :], 0.0)
-        np.testing.assert_allclose(out[3:, :3], 0.0)
-        np.testing.assert_allclose(out[3:, 3:], 2 * b)
 
 
 class TestPartialTrace:
@@ -192,6 +165,6 @@ class TestDefectBounds:
         rng = np.random.default_rng(seed)
         v, _ = np.linalg.qr(rng.normal(size=(n, r)) + 1j * rng.normal(size=(n, r)))
         measured = linalg.unitarity_defect(v)
-        bound = linalg.isometry_bound(v)
+        bound = linalg.checked_isometry(v)
         assert bound >= measured
         assert linalg.measured_bound(bound, n, r) >= measured

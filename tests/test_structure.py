@@ -6,7 +6,9 @@ an argument, and numpy's Hermitian eigensolvers are called from
 `linalg` only.  Paths that read a known spectrum call no eigensolver on
 a d x d matrix (`contract` diagonalizes only a core of the part's rank),
 and an operator built from a spectral form builds its matrix only when
-it is read.
+it is read.  Every public function and method has a caller in the
+library, the benchmark or the acceptance suite, or a stated reason to
+exist without one.
 """
 
 import ast
@@ -245,3 +247,58 @@ def test_cli_import_loads_no_scipy():
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+REPO = SRC.parent.parent
+# where a public name counts as used: the library itself, the benchmark
+# and the acceptance suite (with the conftest helpers it imports)
+CALLER_FILES = [*sorted((REPO / "bench").glob("*.py")),
+                REPO / "tests/test_acceptance.py", REPO / "tests/conftest.py"]
+NO_CALLER_NEEDED = {
+    "dynamics.motion_residual": "the motion residual that claim (b)'s check needs",
+    "iop.Contraction.from_matrix": "dense test oracle for the factored contraction",
+    "iop.Contraction.k": "dense test oracle for the factored contraction",
+}
+
+
+def _references(path):
+    """(name, line) of every ast.Name and ast.Attribute in `path`.
+
+    A name counts whatever object it is read from: `np.kron` reads `kron`.
+    """
+    refs = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            refs.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            refs.append((node.attr, node.lineno))
+    return refs
+
+
+def _public_definitions(path):
+    """(qualname, def node) of the public functions and methods in `path`."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in ast.parse(path.read_text()).body:
+        if not isinstance(node, (*defs, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        if isinstance(node, defs):
+            yield f"{path.stem}.{node.name}", node
+            continue
+        for member in node.body:
+            if isinstance(member, defs) and not member.name.startswith("_"):
+                yield f"{path.stem}.{node.name}.{member.name}", member
+
+
+def test_every_public_name_has_a_caller():
+    outside = {name for path in CALLER_FILES for name, _ in _references(path)}
+    src_refs = {path: _references(path) for path in SRC.glob("*.py")}
+    callerless = []
+    for path in sorted(SRC.glob("*.py")):
+        for qualname, node in _public_definitions(path):
+            called = node.name in outside or any(
+                name == node.name and not (
+                    where == path and node.lineno <= line <= node.end_lineno)
+                for where, refs in src_refs.items() for name, line in refs)
+            if not called and qualname not in NO_CALLER_NEEDED:
+                callerless.append(qualname)
+    assert callerless == []
