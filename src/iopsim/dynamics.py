@@ -26,7 +26,7 @@ class HamiltonianOp:
     matrix: np.ndarray
 
     def __post_init__(self):
-        self.matrix.setflags(write=False)
+        object.__setattr__(self, "matrix", linalg.frozen(self.matrix))
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ class UnitaryOp:
     defect: float | None = None
 
     def __post_init__(self):
-        self.matrix.setflags(write=False)
+        object.__setattr__(self, "matrix", linalg.frozen(self.matrix))
 
 
 def hamiltonian(m) -> HamiltonianOp:
@@ -56,7 +56,7 @@ def unitary(m, known_defect=None) -> UnitaryOp:
     `known_defect`, a bound on the exact ||U^dag U - I||_F that the caller
     proved, replaces the dense check when it is within the tolerance.
     """
-    a = linalg.as_cmatrix(m)
+    a = linalg.as_cmatrix(linalg.frozen(m, dtype=complex))
     d = linalg.require_square(a)
     if known_defect is None or not known_defect <= linalg.UNITARITY_TOL:
         known_defect = linalg.checked_isometry(a, name="unitarity")

@@ -40,8 +40,9 @@ class InfoOperator:
 
     `spectrum` is its spectral form as the constructor found it, with
     nonnegative ascending eigenvalues; it may be thin (pure_iop keeps
-    one column).  `matrix` is the one the constructor had in hand, or,
-    for a spectral form, `_from_spectrum(w, V)` built on first read.
+    one column).  `matrix` is the one the constructor had in hand
+    (`validate` of a matrix, `max_iop`), or, for a spectral form such as
+    `pure_iop`'s, `_from_spectrum(w, V)` built on first read.
     `isometry_defect` bounds the exact ||V^dag V - I||_F of the
     spectrum's V when the constructor proved one (`validate` of a
     spectral form, `max_iop`), and is None otherwise.
@@ -169,8 +170,7 @@ def pure_iop(psi) -> InfoOperator:
     if n == 0:
         raise ZeroVector("zero vector has no associated pure operator")
     v = v / n
-    return InfoOperator(dim=v.size, spectrum=linalg.HermEigen(np.ones(1), v[:, None]),
-                        known_matrix=np.outer(v, v.conj()))
+    return InfoOperator(dim=v.size, spectrum=linalg.HermEigen(np.ones(1), v[:, None]))
 
 
 def condition(m: np.ndarray):

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .errors import NotFinite, NotPure, ZeroVector
 from .iop import InfoOperator, is_pure, pure_iop
 
@@ -24,7 +25,7 @@ class InfoVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        self.amplitudes.setflags(write=False)
+        object.__setattr__(self, "amplitudes", linalg.frozen(self.amplitudes))
 
 
 def gauge_fix(amplitudes) -> InfoVector:

@@ -51,6 +51,22 @@ def as_cmatrix(entries) -> np.ndarray:
     return a
 
 
+def frozen(entries, dtype=None) -> np.ndarray:
+    """`entries` as a read-only array that no writable array aliases.
+
+    A conversion that made a new array is frozen as made.  An array of the
+    caller's is kept only when it is already read-only and owns its
+    memory, which is how a builder hands over what it filled without a
+    copy; any other is copied, so the caller's array stays writable and a
+    later write to it cannot reach what a constructor checked.
+    """
+    a = np.asarray(entries, dtype=dtype)
+    if a.base is not None or (a is entries and a.flags.writeable):
+        a = a.copy()
+    a.setflags(write=False)
+    return a
+
+
 def require_square(a: np.ndarray) -> int:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
@@ -122,6 +138,26 @@ def frobenius_dist(a, b) -> float:
     if a.shape != b.shape:
         raise DimensionMismatch(f"shape {a.shape} vs {b.shape}")
     return float(np.linalg.norm(a - b))
+
+
+def rank_one_dist(a: np.ndarray, b: np.ndarray) -> float:
+    """||a a^dag - b b^dag||_F from the vectors, with no d x d matrix.
+
+    With a rotated by the phase of <a|b>, so that <a|b> >= 0, x = a - b and
+    y = a + b give a a^dag - b b^dag = (x y^dag + y x^dag) / 2 and a
+    squared norm (||x||^2 ||y||^2 + (Re <x|y>)^2) / 2: two nonnegative
+    terms, so nothing cancels, and the result is accurate relative to
+    ||x|| ||y|| even where a and b agree to the last bits.  The textbook
+    sqrt(|a|^4 + |b|^4 - 2 |<a|b>|^2) cancels there and keeps only half
+    the digits.
+    """
+    ab = np.vdot(a, b)
+    if ab != 0:
+        a = a * (ab / abs(ab))
+    x, y = a - b, a + b
+    xy = np.vdot(x, y).real
+    nx, ny = np.linalg.norm(x), np.linalg.norm(y)
+    return float(math.sqrt(((nx * ny) ** 2 + xy ** 2) / 2))
 
 
 def unitarity_defect(u: np.ndarray) -> float:

@@ -19,9 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .config import DIM_CAP
 from .errors import (
     DimensionMismatch,
     NotDefinitive,
+    NotFinite,
     NotHermitian,
     UnknownLabel,
     ZeroProbabilityOutcome,
@@ -36,23 +38,28 @@ IMAG_RESIDUE_TOL = 1e-10
 class MeasurementSystem:
     dim_s: int
     labels: tuple
-    kraus: tuple          # one operator per label
+    kraus: np.ndarray     # (m, d, d), read-only: one operator per label
     f: dict               # label -> real scale value
 
     def __post_init__(self):
         labels = tuple(self.labels)
-        ops = tuple(linalg.as_cmatrix(k) for k in self.kraus)
-        if len(labels) != len(ops) or not ops:
+        if len(labels) != len(self.kraus) or not labels:
             raise ValueError("labels and Kraus operators must be nonempty and aligned")
         if len(set(labels)) != len(labels):
             raise ValueError("labels must be distinct")
-        for k in ops:
-            if k.shape != (self.dim_s, self.dim_s):
-                raise DimensionMismatch(f"Kraus shape {k.shape} != dim {self.dim_s}")
-            k.setflags(write=False)
+        for k in self.kraus:
+            if np.shape(k) != (self.dim_s, self.dim_s):
+                raise DimensionMismatch(f"Kraus shape {np.shape(k)} != dim {self.dim_s}")
+        if self.dim_s > DIM_CAP:
+            raise DimensionMismatch(f"dimension {self.dim_s} exceeds cap {DIM_CAP}")
+        # stacked once; a read-only (m, d, d) array, such as the screen
+        # `_slit_screen` fills, is kept without a copy
+        stack = linalg.frozen(self.kraus, dtype=complex)
+        if not np.isfinite(stack).all():
+            raise NotFinite("Kraus operators contain NaN or Inf entries")
         fmap = {m: float(self.f[m]) for m in labels} if self.f else {}
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "kraus", ops)
+        object.__setattr__(self, "kraus", stack)
         object.__setattr__(self, "f", fmap)
 
     @classmethod
@@ -72,12 +79,12 @@ class Observable:
     def __post_init__(self):
         if not linalg.is_hermitian(self.matrix):
             raise NotHermitian("observable must be Hermitian")
-        self.matrix.setflags(write=False)
+        object.__setattr__(self, "matrix", linalg.frozen(self.matrix))
 
 
 def completeness_defect(ms: MeasurementSystem) -> float:
     """||sum_m (M^m)^dag M^m - I||_F, computed as R^dag R for R the rows of
-    every Kraus operator stacked.
+    every Kraus operator, a view of the stored (m, d, d) stack.
 
     A row with at most one nonzero entry adds only |entry|^2 to the
     diagonal; only rows with two or more nonzeros enter the one dense
@@ -85,7 +92,7 @@ def completeness_defect(ms: MeasurementSystem) -> float:
     thus costs O(d^2), a dense one the same product as sum_m M^dag M.
     """
     d = ms.dim_s
-    rows = np.concatenate(ms.kraus)
+    rows = ms.kraus.reshape(-1, d)
     nonzero = rows != 0
     single = nonzero.sum(axis=1) <= 1
     diagonal = -1.0

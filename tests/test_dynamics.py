@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from iopsim import linalg
 from iopsim.config import hbar
 from iopsim.dynamics import (
+    HamiltonianOp,
     UnitaryOp,
     evolve,
     hamiltonian,
@@ -133,6 +134,17 @@ class TestUnitaryCheck:
     def test_unitary_accepted(self, rng):
         u = random_unitary(rng, 3).matrix
         assert np.array_equal(unitary(u).matrix, u)
+
+    def test_caller_array_stays_writable(self):
+        # a write to the caller's array after the check leaves the checked
+        # operator, and the defect it carries, as they were
+        u = np.eye(3, dtype=complex)
+        ops = (unitary(u), UnitaryOp(dim=3, matrix=u), HamiltonianOp(dim=3, matrix=u))
+        assert all(not op.matrix.flags.writeable for op in ops)
+        assert u.flags.writeable
+        u[0, 0] = 5
+        assert all(op.matrix[0, 0] == 1.0 for op in ops)
+        assert linalg.unitarity_defect(ops[0].matrix) <= ops[0].defect
 
 
 def _spectral_iop(rng, d, rank):

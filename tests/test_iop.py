@@ -509,11 +509,24 @@ class TestSpectralForm:
     @pytest.mark.parametrize("make", [
         lambda: validate(np.diag([0.7, 0.2, 0.1]).astype(complex)),
         lambda: max_iop(3),
-        lambda: pure_iop([1, 1j, 0.5]),
-    ], ids=["validate", "max-iop", "pure-iop"])
+    ], ids=["validate", "max-iop"])
     def test_every_constructor_stores_its_spectrum(self, make):
         rho = make()
         assert holds_matrix(rho)
         w, v = rho.spectrum
         assert linalg.frobenius_dist(dense(w, v), rho.matrix) <= 1e-15
         assert not (w.flags.writeable or v.flags.writeable)
+
+    def test_pure_iop_builds_its_matrix_on_first_read(self):
+        rng = np.random.default_rng(11)
+        for psi in (np.array([1, 1j, 0.5]),
+                    rng.normal(size=513) + 1j * rng.normal(size=513)):
+            rho = pure_iop(psi)
+            w, v = rho.spectrum
+            assert not holds_matrix(rho)
+            assert not (w.flags.writeable or v.flags.writeable)
+            built = rho.matrix
+            assert np.array_equal(built, _from_spectrum(w, v))
+            unit = psi / np.linalg.norm(psi)
+            assert np.max(np.abs(built - np.outer(unit, unit.conj()))) <= 1e-15
+            assert built is rho.matrix and not built.flags.writeable

@@ -143,6 +143,50 @@ class TestFrobeniusDist:
             linalg.frobenius_dist(np.eye(2), np.eye(3))
 
 
+class TestFrozen:
+    def test_caller_array_is_copied(self):
+        a = np.eye(2, dtype=complex)
+        for entries in (a, a[:], linalg.frozen(a)[:]):
+            out = linalg.frozen(entries)
+            assert not out.flags.writeable
+            assert not np.shares_memory(out, a)
+        assert a.flags.writeable
+
+    def test_conversion_frozen_as_made(self):
+        out = linalg.frozen([[1, 0], [0, 1]], dtype=complex)
+        assert out.dtype == complex and not out.flags.writeable
+
+    def test_read_only_owner_kept(self):
+        a = np.eye(2, dtype=complex)
+        a.setflags(write=False)
+        assert linalg.frozen(a) is a
+
+
+def extended_rank_one_dist(a, b):
+    """Oracle: ||a a^dag - b b^dag||_F formed densely in extended precision."""
+    a, b = (np.asarray(x, dtype=np.clongdouble) for x in (a, b))
+    diff = np.outer(a, a.conj()) - np.outer(b, b.conj())
+    return float(np.sqrt(np.sum(diff.real ** 2 + diff.imag ** 2)))
+
+
+class TestRankOneDist:
+    @pytest.mark.parametrize("delta", [0.0, 1e-15, 1e-12, 1e-9, 1e-6, 1e-2])
+    def test_matches_extended_precision(self, delta):
+        # a = e^{i theta} (b + delta n): the phase drops out, and near
+        # delta = 0 a cancelling formula keeps only half the digits
+        rng = np.random.default_rng(513)
+        b, n = (x / np.linalg.norm(x) for x in
+                (rng.normal(size=(2, 513)) + 1j * rng.normal(size=(2, 513))))
+        a = np.exp(1j * rng.uniform(0, 2 * np.pi)) * (b + delta * n)
+        oracle = extended_rank_one_dist(a, b)
+        assert abs(linalg.rank_one_dist(a, b) - oracle) <= 1e-15 + 1e-9 * oracle
+
+    def test_orthogonal_and_zero_vectors(self):
+        e0, e1 = np.eye(2, dtype=complex)
+        assert linalg.rank_one_dist(e0, e1) == pytest.approx(math.sqrt(2))
+        assert linalg.rank_one_dist(2 * e0, np.zeros(2)) == pytest.approx(4.0)
+
+
 class TestDefectBounds:
     @given(n=st.integers(16, 512), t=st.floats(0.0, 100.0),
            scale=st.sampled_from([1.0, 1 + 1e-7, 1 - 1e-12]))

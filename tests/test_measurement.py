@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from iopsim import linalg, scenarios
 from iopsim.composite import Branch
 from iopsim.errors import (
+    DimensionMismatch,
     NotDefinitive,
+    NotFinite,
     SupportViolation,
     ZeroProbabilityOutcome,
 )
@@ -22,6 +24,7 @@ from iopsim.iop import (
 )
 from iopsim.measurement import (
     MeasurementSystem,
+    Observable,
     completeness_defect,
     estimate_probabilities,
     expectation,
@@ -61,6 +64,41 @@ class TestConstruction:
         with pytest.raises(ValueError):
             MeasurementSystem(dim_s=2, labels=("a", "a"),
                               kraus=(np.eye(2), np.eye(2)), f={"a": 1.0})
+
+    def test_mixed_shapes_rejected(self):
+        with pytest.raises(DimensionMismatch, match="Kraus shape"):
+            MeasurementSystem(dim_s=2, labels=("a", "b"),
+                              kraus=(np.eye(2), np.eye(3)), f={})
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(NotFinite):
+            MeasurementSystem(dim_s=2, labels=("a",),
+                              kraus=(np.diag([1.0, np.nan]),), f={})
+
+    def test_caller_arrays_stay_writable(self):
+        # a write to the caller's arrays after the check reaches nothing
+        # that was checked
+        k = np.eye(2, dtype=complex)
+        stack = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
+        for kraus in ((k,), stack):
+            ms = MeasurementSystem(dim_s=2, labels=tuple(range(len(kraus))),
+                                   kraus=kraus, f={})
+            assert ms.kraus.shape == (len(kraus), 2, 2)
+            assert not ms.kraus.flags.writeable
+            assert completeness_defect(ms) == 0.0
+        obs = Observable(matrix=k)
+        assert not obs.matrix.flags.writeable
+        assert k.flags.writeable and stack.flags.writeable
+        k[0, 0] = 5
+        stack[0] *= 3
+        assert completeness_defect(ms) == 0.0
+        assert obs.matrix[0, 0] == 1.0
+
+    def test_read_only_stack_kept_without_copy(self):
+        stack = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
+        stack.setflags(write=False)
+        ms = MeasurementSystem(dim_s=2, labels=("a", "b"), kraus=stack, f={})
+        assert ms.kraus is stack
 
 
 class TestOutcomeProbabilities:

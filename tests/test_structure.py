@@ -5,10 +5,10 @@ checks read their module's tolerance constant instead of taking one as
 an argument, and numpy's Hermitian eigensolvers are called from
 `linalg` only.  Paths that read a known spectrum call no eigensolver on
 a d x d matrix (`contract` diagonalizes only a core of the part's rank),
-and an operator built from a spectral form builds its matrix only when
-it is read.  Every public function and method has a caller in the
-library, the benchmark or the acceptance suite, or a stated reason to
-exist without one.
+an operator built from a spectral form builds its matrix only when it
+is read, and two-slit reads no operator matrix at all.  Every public
+function and method has a caller in the library, the benchmark or the
+acceptance suite, or a stated reason to exist without one.
 """
 
 import ast
@@ -20,6 +20,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,9 +124,8 @@ def test_spectral_results_build_their_matrix_on_first_read(step):
     assert holds_matrix(out)
 
 
-def test_two_slit_builds_at_most_two_operator_matrices(monkeypatch):
-    # the evolved passed operator and the evolved one-slit control are the
-    # only operators whose matrix is read; every other one stays spectral
+def test_two_slit_builds_no_operator_matrix(monkeypatch):
+    # its checks read the evolved operators' spectra and diagonals only
     built = []
 
     def counted(w, v, _build=iop._from_spectrum):
@@ -134,8 +134,24 @@ def test_two_slit_builds_at_most_two_operator_matrices(monkeypatch):
 
     monkeypatch.setattr(iop, "_from_spectrum", counted)
     assert two_slit(grid_n=64, slit_positions=((20, 22), (42, 44))).all_pass()
-    assert 1 <= len(built) <= 2
-    assert all(shape[0] == 65 for shape in built)
+    assert built == []
+
+
+def test_two_slit_peaks_at_four_matrices_above_entry():
+    # the screen's two operators and the ring propagator are the only
+    # d x d arrays held at once; the fourth is room for temporaries
+    grid_n = 512
+    matrix_bytes = (grid_n + 1) ** 2 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        report = two_slit(grid_n=grid_n, slit_positions=((160, 176), (336, 352)),
+                          steps=160)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_pass()
+    assert (peak - entry) / matrix_bytes <= 4
 
 
 @pytest.fixture
