@@ -13,15 +13,17 @@ operator and unitary are rotated into a basis adapted to them.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import linalg
 from .dynamics import UnitaryOp
 from .errors import DimensionMismatch, UnknownLabel, ZeroProbabilityLabel
-from .iop import InfoOperator, condition, validate
+from .iop import InfoOperator, _validate_fresh, condition
 
 CONDENSED_TOL = 1e-9
 BLOCK_TOL = 1e-9
@@ -72,13 +74,14 @@ class CondensationStructure:
             blocks=tuple(tuple(i * self.dim + j for i in range(dim_left) for j in g)
                          for g in self.blocks))
 
-
-def _owner(c: CondensationStructure) -> np.ndarray:
-    """owner[j] is the position of the label whose group holds index j."""
-    owner = np.empty(c.dim, dtype=int)
-    for i, g in enumerate(c.blocks):
-        owner[list(g)] = i
-    return owner
+    @cached_property
+    def _owner(self) -> np.ndarray:
+        """owner[j] is the position of the label whose group holds index j."""
+        owner = np.empty(self.dim, dtype=int)
+        for i, g in enumerate(self.blocks):
+            owner[list(g)] = i
+        owner.setflags(write=False)
+        return owner
 
 
 def _check_dims(rho: InfoOperator, c: CondensationStructure):
@@ -94,16 +97,30 @@ def label_probabilities(rho: InfoOperator, c: CondensationStructure):
     inter-subspace coherences or not.
     """
     _check_dims(rho, c)
-    diag = rho.diagonal()
-    return [(m, float(diag[list(g)].sum())) for m, g in zip(c.labels, c.blocks)]
+    sums = np.bincount(c._owner, weights=rho.diagonal(), minlength=len(c.blocks))
+    return [(m, float(p)) for m, p in zip(c.labels, sums)]
 
 
-def _block_spectrum(a: np.ndarray, g: list, dim: int) -> linalg.HermEigen:
-    """Eigenpairs of the group block `a`, eigenvectors scattered into rows g."""
-    w, q = linalg.eigh(a)
-    v = np.zeros((dim, len(g)), dtype=complex)
-    v[g] = q
-    return linalg.HermEigen(w, v)
+def _union_spectrum(blocks, groups, dim: int) -> InfoOperator:
+    """The validated union of the spectra of the Hermitian `blocks`, the
+    eigenvectors of the block of group g scattered onto rows g.
+
+    Columns of different groups have disjoint rows, so the union's Gram
+    is block diagonal, exactly: the root sum of squares of the bounds
+    that each block's own r x r Gram gives is a bound on its defect, and
+    no d-row Gram is formed.
+    """
+    spectra = [linalg.eigh(a) for a in blocks]
+    w = np.concatenate([e.eigenvalues for e in spectra])
+    order = np.argsort(w, kind="stable")
+    column = np.empty_like(order)
+    column[order] = np.arange(order.size)
+    v = np.zeros((dim, w.size), dtype=complex)
+    starts = np.cumsum([len(g) for g in groups])[:-1]
+    for g, cols, (_, q) in zip(groups, np.split(column, starts), spectra):
+        v[np.ix_(g, cols)] = q
+    bound = math.sqrt(sum(linalg.checked_isometry(q) ** 2 for _, q in spectra))
+    return _validate_fresh(w[order], v, known_defect=bound)
 
 
 def condition_on_label(rho: InfoOperator, c: CondensationStructure, m) -> InfoOperator:
@@ -120,7 +137,7 @@ def condition_on_label(rho: InfoOperator, c: CondensationStructure, m) -> InfoOp
     weight, block = condition(rho.matrix[np.ix_(g, g)])
     if block is None:
         raise ZeroProbabilityLabel(f"label {m!r} has weight {weight:.3e}")
-    return validate(_block_spectrum(block, g, c.dim))
+    return _union_spectrum([block], [g], c.dim)
 
 
 def block_projected(rho: InfoOperator, c: CondensationStructure) -> InfoOperator:
@@ -129,18 +146,14 @@ def block_projected(rho: InfoOperator, c: CondensationStructure) -> InfoOperator
     Its spectrum is the union of the spectra of the group blocks rho[g, g].
     """
     _check_dims(rho, c)
-    spectra = [_block_spectrum(rho.matrix[np.ix_(g, g)], g, c.dim)
-               for g in map(list, c.blocks)]
-    w = np.concatenate([s.eigenvalues for s in spectra])
-    v = np.hstack([s.eigenvectors for s in spectra])
-    order = np.argsort(w, kind="stable")
-    return validate(linalg.HermEigen(w[order], v[:, order]))
+    groups = [list(g) for g in c.blocks]
+    return _union_spectrum([rho.matrix[np.ix_(g, g)] for g in groups], groups, c.dim)
 
 
 def is_condensed_form(rho: InfoOperator, c: CondensationStructure) -> bool:
     """True iff the entries of rho outside the group blocks are negligible."""
     _check_dims(rho, c)
-    owner = _owner(c)
+    owner = c._owner
     outside = rho.matrix[owner[:, None] != owner[None, :]]
     return float(np.linalg.norm(outside)) <= CONDENSED_TOL
 
@@ -154,7 +167,7 @@ def _coupling(u: UnitaryOp, c: CondensationStructure) -> np.ndarray:
     """
     if u.dim != c.dim:
         raise DimensionMismatch(f"unitary dim {u.dim} != structure dim {c.dim}")
-    member = np.eye(len(c.blocks))[_owner(c)]
+    member = np.eye(len(c.blocks))[c._owner]
     return np.sqrt(member.T @ (u.matrix.real ** 2 + u.matrix.imag ** 2) @ member)
 
 
@@ -174,27 +187,16 @@ def finest_respected_structure(
     """Coarsen a candidate partition until the unitary respects it.
 
     Candidate blocks m, n are merged whenever ||P^m U P^n|| exceeds
-    BLOCK_TOL; merging follows connected components of that coupling graph,
-    and a merged label is its members' labels joined by "+" as strings.
+    BLOCK_TOL; merging follows connected components of that coupling graph
+    (`linalg.index_groups`), and a merged label is its members' labels
+    joined by "+" as strings.
     If nothing merges, `candidate` itself is returned, labels unchanged.
     """
     k = len(candidate.blocks)
-    # reachability in the undirected coupling graph with self-loops, by
-    # repeated squaring: after ceil(log2 k) squarings every path is covered
-    edges = _coupling(u, candidate) > BLOCK_TOL
-    reach = edges | edges.T | np.eye(k, dtype=bool)
-    for _ in range(max(k - 1, 1).bit_length()):
-        reach = (reach.astype(int) @ reach) > 0
-    # components numbered in order of their smallest member
-    roots = reach.argmax(axis=1)
-    _, comp = np.unique(roots, return_inverse=True)
-    n_comp = int(comp.max()) + 1
-    if n_comp == k:
+    comps = linalg.index_groups(_coupling(u, candidate) > BLOCK_TOL) or (range(k),)
+    if len(comps) == k:
         return candidate
-    labels, blocks = [], []
-    for g in range(n_comp):
-        members = [i for i in range(k) if comp[i] == g]
-        labels.append("+".join(str(candidate.labels[i]) for i in members))
-        blocks.append([j for i in members for j in candidate.blocks[i]])
     return CondensationStructure(
-        dim=candidate.dim, labels=tuple(labels), blocks=tuple(blocks))
+        dim=candidate.dim,
+        labels=tuple("+".join(str(candidate.labels[i]) for i in c) for c in comps),
+        blocks=tuple([j for i in c for j in candidate.blocks[i]] for c in comps))

@@ -54,11 +54,11 @@ class InfoOperator:
     isometry_defect: float | None = None
 
     def __post_init__(self, known_matrix):
-        # read-only views: a caller's own arrays stay writable
-        frozen = tuple(a.view() for a in self.spectrum)
-        for a in frozen:
-            a.setflags(write=False)
-        object.__setattr__(self, "spectrum", linalg.HermEigen(*frozen))
+        # a caller's arrays are copied, so a later write to them cannot
+        # reach what was checked; arrays this library just computed are
+        # handed over read-only, with no copy (`_hand_over`)
+        object.__setattr__(self, "spectrum", linalg.HermEigen(
+            *(linalg.frozen(a) for a in self.spectrum)))
         if known_matrix is not None:
             known_matrix.setflags(write=False)
             self.__dict__["matrix"] = known_matrix
@@ -129,7 +129,7 @@ def validate(m, known_defect=None) -> InfoOperator:
     if abs(tr - 1.0) > TRACE_TOL:
         raise TraceNotOne(f"trace {tr!r} differs from 1 by {abs(tr - 1.0):.3e}")
     if a is not None:
-        w, v = linalg.eigh(a)
+        w, v = _hand_over(*linalg.eigh(a))
     if w[0] < -POSITIVITY_TOL:
         raise NotPositive(f"minimum eigenvalue {w[0]:.3e}")
     if w[0] < 0:
@@ -137,8 +137,26 @@ def validate(m, known_defect=None) -> InfoOperator:
         a = _from_spectrum(w, v)
         tr = float(np.trace(a).real)
         a, w = a / tr, w / tr
+        _hand_over(w)
     return InfoOperator(dim=v.shape[0], spectrum=linalg.HermEigen(w, v),
                         known_matrix=a, isometry_defect=defect)
+
+
+def _hand_over(*arrays):
+    """`arrays`, which this library has just computed and keeps no other
+    reference to, made read-only in place: an InfoOperator then keeps them
+    with no copy.  The one place a spectrum skips `linalg.frozen`'s copy.
+    """
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def _validate_fresh(w, v, known_defect=None) -> InfoOperator:
+    """`validate` of the spectral form (w, V) of arrays this library has
+    just computed (or already holds read-only), handed over with no copy
+    (`_hand_over`)."""
+    return validate(linalg.HermEigen(*_hand_over(w, v)), known_defect)
 
 
 def _from_spectrum(w, v) -> np.ndarray:
@@ -155,8 +173,8 @@ def max_iop(d: int) -> InfoOperator:
     """The maximum i-operator (1/d) I; it describes every d-dim system."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    return InfoOperator(dim=d, spectrum=linalg.HermEigen(np.full(d, 1.0 / d),
-                                                         np.eye(d, dtype=complex)),
+    spectrum = _hand_over(np.full(d, 1.0 / d), np.eye(d, dtype=complex))
+    return InfoOperator(dim=d, spectrum=linalg.HermEigen(*spectrum),
                         known_matrix=np.eye(d, dtype=complex) / d,
                         isometry_defect=0.0)
 
@@ -208,7 +226,7 @@ def contract(rho: InfoOperator, k: Contraction) -> InfoOperator:
     g = k.s[:, None] * ((k.w.conj().T @ v) * np.sqrt(lam))
     mu, u = linalg.eigh(g @ g.conj().T)
     try:
-        return validate(linalg.HermEigen(mu, k.q @ u))
+        return _validate_fresh(mu, k.q @ u)
     except (TraceNotOne, NotPositive) as exc:
         raise ResultNotIOperator(
             f"K rho K^dag is not an i-operator for this rho: {exc}"

@@ -73,6 +73,34 @@ def require_square(a: np.ndarray) -> int:
     return a.shape[0]
 
 
+def index_groups(a: np.ndarray) -> tuple | None:
+    """The connected components of the graph joining i and j wherever
+    a[i, j] or a[j, i] is nonzero, each a sorted read-only index array,
+    ordered by smallest member; None when there is only one.
+
+    Breadth first, one frontier at a time: each row of the pattern is read
+    once, so O(d^2) in all.  A matrix with no zero is one group at once.
+    """
+    if a.all():
+        return None
+    nonzero = a != 0
+    linked = nonzero | nonzero.T
+    unseen = np.ones(len(a), dtype=bool)
+    groups = []
+    while unseen.any():
+        before = unseen.copy()
+        frontier = unseen.argmax(keepdims=True)
+        while frontier.size:
+            unseen[frontier] = False
+            frontier = (linked[frontier].any(axis=0) & unseen).nonzero()[0]
+        g = (before ^ unseen).nonzero()[0]
+        if g.size == len(a):
+            return None
+        g.setflags(write=False)
+        groups.append(g)
+    return tuple(groups)
+
+
 def hermiticity_defect(a: np.ndarray) -> float:
     return float(np.linalg.norm(a - a.conj().T))
 

@@ -28,7 +28,7 @@ from .errors import (
     UnknownLabel,
     ZeroProbabilityOutcome,
 )
-from .iop import InfoOperator, condition, validate
+from .iop import InfoOperator, _validate_fresh, condition
 
 COMPLETENESS_TOL = 1e-9
 IMAG_RESIDUE_TOL = 1e-10
@@ -88,8 +88,9 @@ def completeness_defect(ms: MeasurementSystem) -> float:
 
     A row with at most one nonzero entry adds only |entry|^2 to the
     diagonal; only rows with two or more nonzeros enter the one dense
-    product.  A family of diagonal and row-permuted diagonal operators
-    thus costs O(d^2), a dense one the same product as sum_m M^dag M.
+    product, which is skipped when there are none.  A family of diagonal
+    and row-permuted diagonal operators thus costs O(d^2) and no d x d
+    array, a dense one the same product as sum_m M^dag M.
     """
     d = ms.dim_s
     rows = ms.kraus.reshape(-1, d)
@@ -105,6 +106,8 @@ def completeness_defect(ms: MeasurementSystem) -> float:
         diagonal = np.bincount(j, entries.real ** 2 + entries.imag ** 2,
                                minlength=d) - 1.0
         rows = rows[~single]
+        if not rows.size:
+            return float(np.linalg.norm(diagonal))
     total = rows.conj().T @ rows
     total.flat[::d + 1] += diagonal
     return float(np.linalg.norm(total))
@@ -150,7 +153,7 @@ def post_measurement_object(ms: MeasurementSystem, rho: InfoOperator, m) -> Info
     if block is None:
         raise ZeroProbabilityOutcome(f"outcome {m!r} has probability {weight:.3e}")
     lam, s = linalg.eigh(block)
-    return validate(linalg.HermEigen(lam, q @ s))
+    return _validate_fresh(lam, q @ s)
 
 
 def observable(ms: MeasurementSystem) -> Observable:

@@ -201,13 +201,16 @@ class TestErrorContract:
          "tolerance 'entropy_values' must be positive and finite, got nan"),
         (["run", "spin-one", "--tol", "entropy_values=inf"], None, None,
          "tolerance 'entropy_values' must be positive and finite, got inf"),
+        # past the stated maximum, not hours of evolution
+        (["run", "cat", "--steps", "10001"], None, None,
+         "steps must be in [1, 10000], got 10001"),
     ], ids=["mc-samples-0", "hbar-0", "seed-env-abc", "slits-40-44",
             "grid-over-cap", "validate-nan", "mc-samples-over-int64",
             "seed-negative", "validate-float-overflow",
             "validate-int-digit-limit", "validate-deep-nesting",
             "tol-interaction-dissolves-condensation",
             "tol-superposition-not-condensed", "tol-disjoint-support-rejected",
-            "tol-interference-term", "tol-nan", "tol-inf"])
+            "tol-interference-term", "tol-nan", "tol-inf", "cat-steps-over-max"])
     def test_exits_one_with_message(self, argv, env, text, message, tmp_path,
                                     monkeypatch, capsys):
         if env is not None:

@@ -163,6 +163,16 @@ class TestBlockBasis:
         for m, p in zip(c.labels, projectors(c)):
             assert abs(got[m] - np.trace(p @ rho.matrix @ p).real) <= 1e-12
 
+    def test_label_probabilities_match_the_group_sums(self, rng):
+        # one weighted bincount over the index owners in place of a sum per
+        # group: the same terms in another order, so they agree to d u
+        c = CondensationStructure.from_index_blocks(
+            128, {b: range(b, 128, 8) for b in range(8)})
+        rho = random_iop(rng, 128)
+        diag = rho.diagonal()
+        for (_, p), g in zip(label_probabilities(rho, c), c.blocks):
+            assert abs(p - diag[list(g)].sum()) <= 128 * 2.0 ** -53
+
     @given(seed=st.integers(0, 2**32 - 1), c=partitions())
     @settings(max_examples=60, deadline=None)
     def test_condensed_form_matches_sandwich(self, seed, c):

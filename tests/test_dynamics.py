@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iopsim import linalg
+from iopsim import dynamics, linalg
+from iopsim.condensation import CondensationStructure
 from iopsim.config import hbar
 from iopsim.dynamics import (
     HamiltonianOp,
@@ -230,3 +232,123 @@ def test_only_proven_bounds_are_carried(rng):
     assert UnitaryOp(dim=2, matrix=np.eye(2, dtype=complex)).defect is None
     rho = evolve(random_iop(rng, 3), random_unitary(rng, 3))
     assert rho.isometry_defect >= linalg.unitarity_defect(rho.spectrum.eigenvectors)
+
+
+def _block_unitary(rng, groups):
+    """A unitary with a Haar block on each index group and zeros elsewhere."""
+    d = sum(len(g) for g in groups)
+    u = np.zeros((d, d), dtype=complex)
+    for g in groups:
+        u[np.ix_(g, g)] = random_unitary(rng, len(g)).matrix
+    return u
+
+
+def _givens_layers(d, offsets, theta=0.7):
+    """Real rotations on the pairs (j, j + 1), j = o, o + 2, ..., one layer per
+    offset o, multiplied in order."""
+    u = np.eye(d, dtype=complex)
+    c, s = math.cos(theta), math.sin(theta)
+    for o in offsets:
+        layer = np.eye(d, dtype=complex)
+        for j in range(o, d - 1, 2):
+            layer[j:j + 2, j:j + 2] = [[c, -s], [s, c]]
+        u = u @ layer
+    return u
+
+
+BLOCKS_8X16 = [list(range(16 * b, 16 * b + 16)) for b in range(8)]
+# blocks 0 and 4 merged: one gathered group among contiguous ones
+MERGED = [BLOCKS_8X16[0] + BLOCKS_8X16[4], *BLOCKS_8X16[1:4], *BLOCKS_8X16[5:]]
+PLUS_MINUS = CondensationStructure.from_index_blocks(4, {"+": [0, 1], "-": [2, 3]})
+LIFTED = [list(g) for g in PLUS_MINUS.lift(4).blocks]
+LIFTED_128 = [list(g) for g in PLUS_MINUS.lift(32).blocks]
+CAT_SWAP = np.eye(4, dtype=complex)[[2, 3, 0, 1]]
+
+
+class TestBlockwiseEvolve:
+    """`unitary` finds the index groups U never couples, and evolve rotates
+    each on its own where that pays, bit for bit the dense product U V."""
+
+    @pytest.mark.parametrize("build, groups", [
+        (lambda rng: unitary(_block_unitary(rng, BLOCKS_8X16)), BLOCKS_8X16),
+        (lambda rng: unitary(_block_unitary(rng, MERGED)), MERGED),
+        (lambda rng: unitary(_block_unitary(rng, LIFTED)), LIFTED),
+        (lambda rng: unitary(CAT_SWAP), [[0, 2], [1, 3]]),
+        # one exact zero, at (2, 0), in a connected pattern
+        (lambda rng: unitary(_givens_layers(3, [0, 1])), None),
+        # a pentadiagonal band: one chain through all 64 indices
+        (lambda rng: unitary(_givens_layers(64, [0, 1])), None),
+        # a proven bound skips the pattern
+        (lambda rng: _ring_propagator(16, 3.0), None),
+    ], ids=["blocks-8x16", "merged", "lifted", "cat-swap", "one-zero", "banded",
+            "ring"])
+    def test_equals_the_dense_product(self, rng, monkeypatch, build, groups):
+        # with no cost per group, every partition found is used, at any d
+        monkeypatch.setattr(dynamics, "GROUP_COST", 0)
+        u = build(rng)
+        assert not u.matrix.all()
+        assert (u.groups is None if groups is None
+                else [list(g) for g in u.groups] == groups)
+        for rho in (random_iop(rng, u.dim), random_pure(rng, u.dim)):
+            out = evolve(rho, u)
+            assert np.array_equal(out.spectrum.eigenvectors,
+                                  u.matrix @ rho.spectrum.eigenvectors)
+
+    def test_groups_are_kept_where_they_pay(self, rng):
+        # below d^3 = 2 GROUP_COST no pattern is read; a partition is kept
+        # when it pays for a square V, and used when it pays for this V
+        for groups in (BLOCKS_8X16, LIFTED_128):
+            u = unitary(_block_unitary(rng, groups))
+            assert [list(g) for g in u.groups] == groups
+            assert dynamics._grouped_pays(u.groups, 128, 128)
+            assert not dynamics._grouped_pays(u.groups, 128, 1)
+        for small in (_block_unitary(rng, LIFTED), CAT_SWAP):
+            assert unitary(small).groups is None
+        # 64 groups of 2 cost more than the dense product
+        assert unitary(_givens_layers(128, [0])).groups is None
+
+    def test_zero_free_unitary_has_no_groups(self, rng):
+        assert random_unitary(rng, 64).groups is None
+
+    def test_only_unitary_sets_groups_and_bound(self, rng):
+        u = unitary(_block_unitary(rng, BLOCKS_8X16))
+        moved = dataclasses.replace(u, matrix=random_unitary(rng, 128).matrix)
+        assert moved.groups is None and moved.defect is None
+        with pytest.raises(TypeError):
+            UnitaryOp(dim=128, matrix=u.matrix, groups=u.groups)
+
+    @pytest.mark.parametrize("thin, step", [(False, 1), (True, 2)],
+                             ids=["max-iop", "pair"])
+    def test_off_block_fails_at_the_dense_step(self, rng, monkeypatch, thin, step):
+        # block 1 of four 8 x 8 blocks is Q D Q^dag with D = diag(1 + e,
+        # 1 / (1 + e), ...), a defect of about 2 e sqrt(8) = 1.7
+        # UNITARITY_TOL.  Built directly it carries no bound; evolving by it
+        # group by group must raise NotUnitary at the step the dense product
+        # does: at once for I / d, at step 2 for equal weights on a pair of
+        # Q's columns (defect about 2 e sqrt(2) per step, trace moved only
+        # at second order).
+        monkeypatch.setattr(dynamics, "GROUP_COST", 0)
+        groups = [list(range(8 * b, 8 * b + 8)) for b in range(4)]
+        good = unitary(_block_unitary(rng, groups))
+        q = random_unitary(rng, 8).matrix
+        e = 0.3 * linalg.UNITARITY_TOL
+        bad = good.matrix.copy()
+        bad[8:16, 8:16] = (q * np.tile([1 + e, 1 / (1 + e)], 4)) @ q.conj().T
+        v = np.zeros((32, 2), dtype=complex)
+        v[8:16] = q[:, :2]
+
+        def failure(u):
+            rho = (validate(linalg.HermEigen(np.full(2, 0.5), v)) if thin
+                   else max_iop(32))
+            for n in range(1, 100):
+                try:
+                    rho = evolve(rho, u)
+                except IopsimError as exc:
+                    return n, type(exc)
+            return None
+
+        blockwise = UnitaryOp(dim=32, matrix=bad)
+        object.__setattr__(blockwise, "groups", good.groups)
+        assert len(blockwise.groups) == 4
+        assert failure(blockwise) == failure(UnitaryOp(dim=32, matrix=bad)) == (
+            step, NotUnitary)

@@ -459,6 +459,16 @@ class TestSpectralForm:
         for kk in (k, Contraction.from_matrix(k.k)):
             assert linalg.frobenius_dist(contract(rho, kk).matrix, oracle.matrix) <= 1e-12
 
+    def test_caller_spectrum_is_copied(self):
+        # a write to the caller's arrays after the check reaches nothing
+        # that was checked
+        w, v = np.array([0.5, 0.5]), np.eye(2, dtype=complex)
+        rho = validate(linalg.HermEigen(w, v))
+        v[:, 0] *= 3
+        w[0] = 9.0
+        assert np.array_equal(rho.diagonal(), [0.5, 0.5])
+        assert not any(a.flags.writeable for a in rho.spectrum)
+
     def test_thin_part_of_a_rank_deficient_whole(self):
         # whole has rank 2 in d = 4; the thin part must pair with its top
         a, b = np.eye(4)[0], np.eye(4)[2]

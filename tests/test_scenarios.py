@@ -87,6 +87,8 @@ class TestCat:
     def test_bad_steps_rejected(self):
         with pytest.raises(BadParameter):
             cat(steps=0)
+        with pytest.raises(BadParameter, match=r"steps must be in \[1, 10000\]"):
+            cat(steps=scenarios.CAT_MAX_STEPS + 1)
 
 
 class TestSpinOne:

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 import iopsim
-from iopsim import iop, linalg
+from iopsim import dynamics, iop, linalg
 from iopsim.composite import CompositeSpec, branch_decompose
 from iopsim.condensation import (
     CondensationStructure,
@@ -41,10 +41,11 @@ from iopsim.dynamics import UnitaryOp, evolve
 from iopsim.iop import validate
 from iopsim.measurement import (
     MeasurementSystem,
+    completeness_defect,
     outcome_probabilities,
     post_measurement_object,
 )
-from iopsim.scenarios import two_slit
+from iopsim.scenarios import _slit_screen, two_slit
 
 from conftest import projectors, random_iop, random_unitary
 from test_iop import holds_matrix
@@ -152,6 +153,83 @@ def test_two_slit_peaks_at_four_matrices_above_entry():
         tracemalloc.stop()
     assert report.all_pass()
     assert (peak - entry) / matrix_bytes <= 4
+
+
+def test_single_entry_rows_build_no_square_product():
+    # every row of the screen holds at most one nonzero, so its defect is
+    # the norm of a length-d diagonal: the row pattern, a fifth of a d x d
+    # matrix, is the largest array built
+    grid_n = 512
+    matrix_bytes = (grid_n + 1) ** 2 * np.dtype(complex).itemsize
+    ms = _slit_screen(grid_n, range(160, 176))
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        assert completeness_defect(ms) == 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - entry) / matrix_bytes <= 0.5
+
+
+def _condensed_chain_start(seed):
+    """A d = 128 structure of 8 groups of 16, a unitary it keeps decoupled,
+    and a full-rank operator."""
+    rng = np.random.default_rng(seed)
+    c = CondensationStructure.from_index_blocks(
+        128, {b: range(16 * b, 16 * b + 16) for b in range(8)})
+    u = np.zeros((128, 128), dtype=complex)
+    for g in c.blocks:
+        u[g[0]:g[-1] + 1, g[0]:g[-1] + 1] = random_unitary(rng, 16).matrix
+    return c, dynamics.unitary(u), random_iop(rng, 128)
+
+
+def test_block_spectra_check_each_block_gram(monkeypatch):
+    # block_projected and condition_on_label scatter each group's
+    # eigenvectors onto its own rows: the r x r Gram of each block bounds
+    # the defect of the whole, so no 128-row Gram is formed
+    c, _, rho = _condensed_chain_start(17)
+    shapes = []
+
+    def counted(v, _defect=linalg.unitarity_defect):
+        shapes.append(v.shape)
+        return _defect(v)
+
+    monkeypatch.setattr(linalg, "unitarity_defect", counted)
+    whole = block_projected(rho, c)
+    part = condition_on_label(rho, c, 3)
+    assert shapes == [(16, 16)] * 9
+    for out in (whole, part):
+        v = out.spectrum.eigenvectors
+        assert linalg.measured_bound(out.isometry_defect, *v.shape) >= counted(v)
+
+
+def test_producers_hand_their_spectra_over_uncopied(monkeypatch):
+    # evolve, contract, the block spectra, post_measurement_object, max_iop
+    # and validate of a matrix, clamped or not, hand the arrays they
+    # computed over read-only, so no operator copies its spectrum
+    c, u, rho = _condensed_chain_start(23)
+    assert len(u.groups) == 8
+    ms = MeasurementSystem.projective(dict(zip(c.labels, projectors(c))))
+    copied = []
+
+    def spy(entries, dtype=None, _frozen=linalg.frozen):
+        out = _frozen(entries, dtype)
+        if out is not entries:
+            copied.append(out.shape)
+        return out
+
+    monkeypatch.setattr(linalg, "frozen", spy)
+    rho = evolve(evolve(rho, u), u)
+    whole = block_projected(rho, c)
+    part = condition_on_label(rho, c, 3)
+    iop.contract(whole, iop.contraction_from_mixture(whole, part))
+    post_measurement_object(ms, rho, 5)
+    validate(part.matrix)
+    evolve(iop.max_iop(128), u)
+    clamped = validate(np.diag([1.0 + 1e-12, -1e-12]))
+    assert clamped.spectrum.eigenvalues[0] == 0.0
+    assert copied == []
 
 
 @pytest.fixture
