@@ -26,7 +26,7 @@ from .errors import (
     NotPositive,
     TraceNotOne,
 )
-from .iop import validate
+from .iop import ZERO_WEIGHT_FLOOR, validate
 from .scenarios import SCENARIOS
 
 SELFTEST_TOL = 1e-9  # bound on every invariant defect `selftest` checks
@@ -90,7 +90,8 @@ FLAGS = {
         "--slits": ("slit_positions", parse_slits,
                     "comma-separated site ranges a:b"),
         "--steps": ("steps", int, "number of propagation steps"),
-        "--p-pass": ("p_pass", float, "prior passage probability"),
+        "--p-pass": ("p_pass", float, "prior passage probability, in "
+                     f"(ZERO_WEIGHT_FLOOR = {ZERO_WEIGHT_FLOOR:g}, 1]"),
     },
 }
 

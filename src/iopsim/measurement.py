@@ -15,6 +15,7 @@ rather than sharing one stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,33 +35,48 @@ COMPLETENESS_TOL = 1e-9
 IMAG_RESIDUE_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MeasurementSystem:
+    """A labeled Kraus family {K^m}, one real scale value per label.  Given
+    as `kraus`, one d x d operator per label, it is stored as one read-only
+    (m, d, d) stack; given as `routes`, one (rows, cols) index pair per
+    label with distinct rows and distinct cols, it is the partial
+    permutations K^m = sum_k |rows[k]><cols[k]|, stored as those indices,
+    and its `kraus` stack is built on first read."""
+
     dim_s: int
     labels: tuple
-    kraus: np.ndarray     # (m, d, d), read-only: one operator per label
     f: dict               # label -> real scale value
+    routes: tuple | None  # ((rows, cols), ...) per label, or None
 
-    def __post_init__(self):
-        labels = tuple(self.labels)
-        if len(labels) != len(self.kraus) or not labels:
+    def __init__(self, dim_s, labels, kraus=None, f=None, routes=None):
+        labels = tuple(labels)
+        if (kraus is None) == (routes is None):
+            raise ValueError("give either Kraus operators or routes")
+        if len(labels) != len(kraus if routes is None else routes) or not labels:
             raise ValueError("labels and Kraus operators must be nonempty and aligned")
         if len(set(labels)) != len(labels):
             raise ValueError("labels must be distinct")
-        for k in self.kraus:
-            if np.shape(k) != (self.dim_s, self.dim_s):
-                raise DimensionMismatch(f"Kraus shape {np.shape(k)} != dim {self.dim_s}")
-        if self.dim_s > DIM_CAP:
-            raise DimensionMismatch(f"dimension {self.dim_s} exceeds cap {DIM_CAP}")
-        # stacked once; a read-only (m, d, d) array, such as the screen
-        # `_slit_screen` fills, is kept without a copy
-        stack = linalg.frozen(self.kraus, dtype=complex)
-        if not np.isfinite(stack).all():
-            raise NotFinite("Kraus operators contain NaN or Inf entries")
-        fmap = {m: float(self.f[m]) for m in labels} if self.f else {}
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "kraus", stack)
-        object.__setattr__(self, "f", fmap)
+        if dim_s > DIM_CAP:
+            raise DimensionMismatch(f"dimension {dim_s} exceeds cap {DIM_CAP}")
+        if routes is None:
+            for k in kraus:
+                if np.shape(k) != (dim_s, dim_s):
+                    raise DimensionMismatch(f"Kraus shape {np.shape(k)} != dim {dim_s}")
+            stack = linalg.frozen(kraus, dtype=complex)  # stacked once
+            if not np.isfinite(stack).all():
+                raise NotFinite("Kraus operators contain NaN or Inf entries")
+            self.__dict__["kraus"] = stack
+        else:
+            routes = tuple(_route(pair, dim_s) for pair in routes)
+        fmap = {m: float(f[m]) for m in labels} if f else {}
+        vars(self).update(dim_s=dim_s, labels=labels, f=fmap, routes=routes)
+
+    @cached_property
+    def kraus(self) -> np.ndarray:
+        stack = _kraus_times(self, np.eye(self.dim_s))  # K^m I, gathered
+        stack.setflags(write=False)
+        return stack
 
     @classmethod
     def projective(cls, projectors: dict, f=None) -> "MeasurementSystem":
@@ -82,34 +98,44 @@ class Observable:
         object.__setattr__(self, "matrix", linalg.frozen(self.matrix))
 
 
-def completeness_defect(ms: MeasurementSystem) -> float:
-    """||sum_m (M^m)^dag M^m - I||_F, computed as R^dag R for R the rows of
-    every Kraus operator, a view of the stored (m, d, d) stack.
+def _route(pair, dim: int) -> tuple:
+    """(rows, cols) as read-only index arrays, checked: 1-D integer arrays
+    of one length, in [0, dim), neither repeating an index."""
+    route = tuple(np.asarray(a) for a in pair)
+    if len(route) != 2 or route[0].ndim != 1 or route[0].shape != route[1].shape:
+        raise ValueError("a route is a pair of 1-D index arrays of one length")
+    for a in route:
+        if a.size and a.dtype.kind not in "iu":
+            raise ValueError(f"route indices must be integers, got {a.dtype}")
+        if a.size and not 0 <= a.min() <= a.max() < dim:
+            raise DimensionMismatch(f"route index outside [0, {dim})")
+        if np.unique(a).size != a.size:
+            raise ValueError("a route repeats an index within one label")
+    return tuple(linalg.frozen(a, dtype=np.intp) for a in route)
 
-    A row with at most one nonzero entry adds only |entry|^2 to the
-    diagonal; only rows with two or more nonzeros enter the one dense
-    product, which is skipped when there are none.  A family of diagonal
-    and row-permuted diagonal operators thus costs O(d^2) and no d x d
-    array, a dense one the same product as sum_m M^dag M.
-    """
+
+def _kraus_times(ms: MeasurementSystem, v: np.ndarray, k=slice(None)) -> np.ndarray:
+    """K^m V for the label at index k, or for every label as one stack: a
+    gather of V's rows for a routed family, a product for a dense one."""
+    if ms.routes is None:
+        return np.matmul(ms.kraus[k], v)
+    out = np.zeros((len(ms.labels), *v.shape), dtype=complex)
+    for out_m, (rows, cols) in zip(out, ms.routes):
+        out_m[rows] = v[cols]
+    return out[k]
+
+
+def completeness_defect(ms: MeasurementSystem) -> float:
+    """||sum_m (M^m)^dag M^m - I||_F: for a routed family one bincount of
+    its cols, O(d) and exact; for a dense one R^dag R, R the rows of every
+    operator, a view of the stored (m, d, d) stack."""
     d = ms.dim_s
+    if ms.routes is not None:
+        cols = np.concatenate([cols for _, cols in ms.routes])
+        return float(np.linalg.norm(np.bincount(cols, minlength=d) - 1.0))
     rows = ms.kraus.reshape(-1, d)
-    nonzero = rows != 0
-    single = nonzero.sum(axis=1) <= 1
-    diagonal = -1.0
-    if single.any():
-        # column and value of each single row's one nonzero (column 0,
-        # value 0 for an empty row)
-        r = np.flatnonzero(single)
-        j = nonzero[r].argmax(axis=1)
-        entries = rows[r, j]
-        diagonal = np.bincount(j, entries.real ** 2 + entries.imag ** 2,
-                               minlength=d) - 1.0
-        rows = rows[~single]
-        if not rows.size:
-            return float(np.linalg.norm(diagonal))
     total = rows.conj().T @ rows
-    total.flat[::d + 1] += diagonal
+    total.flat[::d + 1] -= 1.0
     return float(np.linalg.norm(total))
 
 
@@ -122,12 +148,12 @@ def outcome_probabilities(ms: MeasurementSystem, rho: InfoOperator):
 
     Read from rho's spectral form (w, V): each is sum_j w_j |M^m v_j|^2,
     from one batched product M V, so a rank-r operator costs O(d^2 r) per
-    label.
+    label, or O(d r) for a routed family, whose M V is a gather.
     """
     if rho.dim != ms.dim_s:
         raise DimensionMismatch(f"operator dim {rho.dim} != system dim {ms.dim_s}")
     w, v = rho.spectrum
-    kv = np.matmul(ms.kraus, v)
+    kv = _kraus_times(ms, v)
     probs = np.einsum("mij,mij->mj", kv.conj(), kv).real @ w
     return [(m, float(p)) for m, p in zip(ms.labels, probs)]
 
@@ -144,11 +170,11 @@ def post_measurement_object(ms: MeasurementSystem, rho: InfoOperator, m) -> Info
     if rho.dim != ms.dim_s:
         raise DimensionMismatch(f"operator dim {rho.dim} != system dim {ms.dim_s}")
     try:
-        k = ms.kraus[ms.labels.index(m)]
+        k = ms.labels.index(m)
     except ValueError:
         raise UnknownLabel(f"unknown label {m!r}") from None
     w, v = rho.spectrum
-    q, r = np.linalg.qr((k @ v) * np.sqrt(w))
+    q, r = np.linalg.qr(_kraus_times(ms, v, k) * np.sqrt(w))
     weight, block = condition(r @ r.conj().T)
     if block is None:
         raise ZeroProbabilityOutcome(f"outcome {m!r} has probability {weight:.3e}")

@@ -477,20 +477,27 @@ def _ring_propagator(grid_n: int, t: float) -> dynamics.UnitaryOp:
 
 
 def _front_reached(grid_n: int, a: int, b: int, reach: float) -> np.ndarray:
-    """Mask of the ring sites within `reach` of the slit sites a..b-1."""
-    x = np.arange(grid_n)
-    # a site outside the slit is nearest to its first site going right or
-    # to its last going left
-    gap = np.minimum((a - x) % grid_n, (x - (b - 1)) % grid_n)
-    return ((x >= a) & (x < b)) | (gap <= reach)
+    """Masks (2, grid_n): the ring sites that a path of at most `reach` hops
+    and of even (row 0) or odd (row 1) length joins to a slit site a..b-1,
+    read on the line unwrapped around the slit.  An amplitude over m hops
+    carries the phase i^m, so two slits interfere only along even paths."""
+    hops = int(min(reach, 2 * grid_n))  # windings past two add no parity
+    y = np.arange(a - hops, b + hops)
+    # hops to the nearest slit site; the next nearest is one further
+    m = np.maximum(0, np.maximum(a - y, y - (b - 1)))
+    reached = np.zeros((2, grid_n), dtype=bool)
+    reached[m % 2, y % grid_n] = True
+    if b - a > 1:
+        further = m < hops
+        reached[(m[further] + 1) % 2, y[further] % grid_n] = True
+    return reached
 
 
 def _slit_screen(grid_n: int, slit_sites) -> measurement.MeasurementSystem:
     """Pass: the projector onto the slit sites.  Absorb: I - P with the rows
-    of the first blocked site and of the flag swapped, filled in place."""
+    of the first blocked site and of the flag swapped.  Both are partial
+    permutations, held as routes."""
     dim = grid_n + 1
-    kraus = np.zeros((2, dim, dim), dtype=complex)
-    kraus[0, slit_sites, slit_sites] = 1.0
     blocked = np.ones(dim, dtype=bool)
     blocked[slit_sites] = False
     cols = np.flatnonzero(blocked)  # the flag, grid_n, comes last
@@ -499,16 +506,10 @@ def _slit_screen(grid_n: int, slit_sites) -> measurement.MeasurementSystem:
     # non-passage outcome populates the sink subspace: swap its row with
     # the flag's
     rows[[0, -1]] = rows[[-1, 0]]
-    kraus[1, rows, cols] = 1.0
-    kraus.setflags(write=False)  # handed over without a copy
     return measurement.MeasurementSystem(
-        dim_s=dim, labels=("pass", "abs"), kraus=kraus,
+        dim_s=dim, labels=("pass", "abs"),
+        routes=((slit_sites, slit_sites), (rows, cols)),
         f={"pass": 1.0, "abs": 0.0})
-
-
-def _propagated_intensity(psi: np.ndarray, u: np.ndarray, grid_n: int) -> np.ndarray:
-    out = u @ psi
-    return np.abs(out[:grid_n]) ** 2
 
 
 def two_slit(grid_n: int = 128, p_pass=None,
@@ -525,7 +526,7 @@ def two_slit(grid_n: int = 128, p_pass=None,
     the screen is a modeling assumption, not a derived property.
     """
     # the grid plus the absorbed flag dimension must fit under DIM_CAP; checked
-    # before the dense (grid_n + 1)^2 screen and propagator are allocated
+    # before the dense (grid_n + 1)^2 propagator is allocated
     if not 16 <= grid_n < DIM_CAP:
         raise BadSlitGeometry(f"grid_n must be in [16, {DIM_CAP - 1}], got {grid_n}")
     slits = [(int(a), int(b)) for a, b in slit_positions]
@@ -539,8 +540,9 @@ def two_slit(grid_n: int = 128, p_pass=None,
         sites_seen |= span
     if not slits:
         raise BadSlitGeometry("need at least one slit")
-    if p_pass is not None and not 0.0 < p_pass <= 1.0:
-        raise BadParameter(f"p_pass must be in (0, 1], got {p_pass}")
+    if p_pass is not None and not ZERO_WEIGHT_FLOOR < p_pass <= 1.0:
+        raise BadParameter(f"p_pass must be in (ZERO_WEIGHT_FLOOR = "
+                           f"{ZERO_WEIGHT_FLOOR:g}, 1], got {p_pass}")
     if steps < 1:
         raise BadParameter(f"steps must be positive, got {steps}")
 
@@ -562,7 +564,7 @@ def two_slit(grid_n: int = 128, p_pass=None,
     # incident electron: uniform over the grid, nothing absorbed yet
     psi_in = np.zeros(dim, dtype=complex)
     psi_in[:grid_n] = 1.0 / math.sqrt(grid_n)
-    psi_pass = screen.kraus[0] @ psi_in
+    psi_pass = measurement._kraus_times(screen, psi_in, 0)
     geom_p = float(np.vdot(psi_pass, psi_pass).real)
     prior_p = geom_p if p_pass is None else float(p_pass)
     # the prior in spectral form: 1 - p on the absorbed flag, p on the
@@ -602,7 +604,7 @@ def two_slit(grid_n: int = 128, p_pass=None,
         slit_vectors.append(psi_s / math.sqrt(w))
     total_w = sum(weights)
     intensity_b = sum(
-        (w / total_w) * _propagated_intensity(v, u.matrix, grid_n)
+        (w / total_w) * np.abs((u.matrix @ v)[:grid_n]) ** 2
         for w, v in zip(weights, slit_vectors))
 
     ck.residual("normalization", max(abs(intensity_a.sum() - 1.0),
@@ -619,7 +621,8 @@ def two_slit(grid_n: int = 128, p_pass=None,
     contrast_a = float(intensity_a[central].max() - intensity_a[central].min())
     contrast_b = float(intensity_b[central].max() - intensity_b[central].min())
     # time of flight: no wave on the ring outruns the band's top group
-    # velocity, 2 sites per unit time at hbar = 1
+    # velocity, 2 sites per unit time at hbar = 1; two fronts have met
+    # where they join a site by paths of even total length
     reach = 2 * steps * TWO_SLIT_DT / get_hbar()
     reached = [_front_reached(grid_n, a, b, reach) for a, b in slits]
     term = float(np.linalg.norm(intensity_a - intensity_b))
@@ -643,7 +646,7 @@ def two_slit(grid_n: int = 128, p_pass=None,
     psi_one[a0:b0] = 1.0
     psi_one /= np.linalg.norm(psi_one)
     one_operator = dynamics.evolve(pure_iop(psi_one), u).diagonal()[:grid_n]
-    one_vector = _propagated_intensity(psi_one, u.matrix, grid_n)
+    one_vector = np.abs((u.matrix @ psi_one)[:grid_n]) ** 2
     ck.residual("one_slit_control",
                 float(np.max(np.abs(one_operator - one_vector))))
 

@@ -204,13 +204,17 @@ class TestErrorContract:
         # past the stated maximum, not hours of evolution
         (["run", "cat", "--steps", "10001"], None, None,
          "steps must be in [1, 10000], got 10001"),
+        # rejected up front, not as a zero-probability outcome deep inside
+        (["run", "two-slit", "--grid", "16", "--slits", "3:5", "--p-pass", "1e-300"],
+         None, None, "p_pass must be in (ZERO_WEIGHT_FLOOR = 1e-12, 1], got 1e-300"),
     ], ids=["mc-samples-0", "hbar-0", "seed-env-abc", "slits-40-44",
             "grid-over-cap", "validate-nan", "mc-samples-over-int64",
             "seed-negative", "validate-float-overflow",
             "validate-int-digit-limit", "validate-deep-nesting",
             "tol-interaction-dissolves-condensation",
             "tol-superposition-not-condensed", "tol-disjoint-support-rejected",
-            "tol-interference-term", "tol-nan", "tol-inf", "cat-steps-over-max"])
+            "tol-interference-term", "tol-nan", "tol-inf", "cat-steps-over-max",
+            "p-pass-below-floor"])
     def test_exits_one_with_message(self, argv, env, text, message, tmp_path,
                                     monkeypatch, capsys):
         if env is not None:

@@ -101,6 +101,42 @@ class TestConstruction:
         assert ms.kraus is stack
 
 
+    def test_routes_are_copied_and_the_stack_built_on_first_read(self):
+        # K = |2><0| + |0><1|
+        rows, cols = np.array([2, 0]), np.array([0, 1])
+        ms = MeasurementSystem(dim_s=3, labels=("k",), routes=((rows, cols),), f={})
+        assert "kraus" not in vars(ms)
+        rows[0] = 1  # reaches nothing that was checked
+        assert all(not a.flags.writeable for a in ms.routes[0])
+        assert np.array_equal(ms.kraus[0], [[0, 1, 0], [0, 0, 0], [1, 0, 0]])
+        assert not ms.kraus.flags.writeable
+        assert completeness_defect(ms) == 1.0  # index 2 is no col
+
+    @pytest.mark.parametrize("labels, routes, error, match", [
+        (("a",), (([0, 0], [0, 1]),), ValueError, "repeats an index"),
+        (("a",), (([0, 1], [1, 1]),), ValueError, "repeats an index"),
+        (("a",), (([0, 2], [0, 1]),), DimensionMismatch, "outside"),
+        (("a",), (([0], [-1]),), DimensionMismatch, "outside"),
+        (("a", "b"), (([0], [0]),), ValueError, "aligned"),
+        ((), (), ValueError, "nonempty"),
+        (("a",), (([0, 1], [0]),), ValueError, "one length"),
+        (("a",), (([0.0], [0]),), ValueError, "integers"),
+    ], ids=["repeated-row", "repeated-col", "index-past-dim", "negative-index",
+            "labels-misaligned", "empty", "ragged-pair", "float-index"])
+    def test_malformed_routes_raise_typed_errors(self, labels, routes, error, match):
+        # the errors the dense constructor raises for the same faults, never
+        # an IndexError from numpy
+        with pytest.raises(error, match=match):
+            MeasurementSystem(dim_s=2, labels=labels, routes=routes, f={})
+
+    @pytest.mark.parametrize("given", [{}, {"kraus": (np.eye(2),),
+                                            "routes": (([0, 1], [0, 1]),)}],
+                             ids=["neither", "both"])
+    def test_one_form_required(self, given):
+        with pytest.raises(ValueError, match="either"):
+            MeasurementSystem(dim_s=2, labels=("a",), f={}, **given)
+
+
 class TestOutcomeProbabilities:
     def test_born_rule_brute_force(self, rng, z_system):
         # oracle: diagonal matrix elements in the measurement basis
@@ -176,7 +212,8 @@ class TestPostMeasurement:
 
 
 RHO_KINDS = ["rank2", *KINDS]
-FAMILIES = ["projective", "unitary-projector", "branches", "screen"]
+ROUTED = ["routed", "routed-incomplete", "routed-overlap"]
+FAMILIES = ["projective", "unitary-projector", "branches", "screen", *ROUTED]
 
 
 def spectral_operator(rng, d, kind):
@@ -188,7 +225,34 @@ def spectral_operator(rng, d, kind):
     return validate(linalg.HermEigen(*raw_spectrum(rng, d, kind)))
 
 
+def routed_family(rng, d, kind):
+    """One to three partial permutations held as routes, each row set drawn
+    at random.  "routed" splits 0..d-1 among the labels as cols, so the
+    family is complete; "routed-incomplete" leaves some cols out;
+    "routed-overlap" draws each label's cols on its own, so labels share
+    cols and miss some."""
+    k = int(rng.integers(1, 4))
+    if kind == "routed-overlap":
+        cols = [rng.choice(d, size=rng.integers(0, d + 1), replace=False)
+                for _ in range(k)]
+    else:
+        owner = rng.integers(0, k + (kind == "routed-incomplete"), size=d)
+        cols = [np.flatnonzero(owner == i) for i in range(k)]
+    routes = tuple((rng.choice(d, size=c.size, replace=False), c) for c in cols)
+    return MeasurementSystem(dim_s=d, labels=tuple(range(k)), routes=routes, f={})
+
+
+def dense_twin(ms):
+    """The same family given as its dense Kraus stack, K^m[rows, cols] = 1."""
+    stack = np.zeros((len(ms.labels), ms.dim_s, ms.dim_s), dtype=complex)
+    for k, (rows, cols) in zip(stack, ms.routes):
+        k[rows, cols] = 1.0
+    return MeasurementSystem(dim_s=ms.dim_s, labels=ms.labels, kraus=stack, f=ms.f)
+
+
 def kraus_family(rng, d, family):
+    if family in ROUTED:
+        return routed_family(rng, d, family)
     if family == "screen":
         sites = rng.choice(d - 1, size=rng.integers(1, d), replace=False)
         return scenarios._slit_screen(d - 1, np.sort(sites).tolist())
@@ -260,7 +324,16 @@ class TestCompleteness:
         rng = np.random.default_rng(seed)
         ms = (kraus_family(rng, d, kind) if kind in FAMILIES
               else structured_family(rng, d, kind))
-        assert abs(completeness_defect(ms) - dense_completeness_defect(ms)) <= 1e-12
+        if ms.routes is None:
+            assert abs(completeness_defect(ms) - dense_completeness_defect(ms)) <= 1e-12
+            return
+        # a routed defect counts integers: it is the dense one exactly, and
+        # 0.0 when the cols partition 0..d-1
+        assert completeness_defect(ms) == dense_completeness_defect(ms)
+        assert completeness_defect(dense_twin(ms)) == completeness_defect(ms)
+        cols = np.sort(np.concatenate([c for _, c in ms.routes]))
+        if np.array_equal(cols, np.arange(d)):
+            assert completeness_defect(ms) == 0.0
 
     @pytest.mark.parametrize("grid_n, slits", [
         (16, ((0, 16),)),
@@ -288,6 +361,22 @@ class TestSpectralMeasurement:
         rho = spectral_operator(rng, d, kind)
         ms = kraus_family(rng, d, family)
         probs = dict(outcome_probabilities(ms, rho))
+        if ms.routes is not None:
+            # the gather against the same family's dense product
+            twin = dense_twin(ms)
+            assert np.array_equal(ms.kraus, twin.kraus)
+            for m, p in outcome_probabilities(twin, rho):
+                assert abs(probs[m] - p) <= 1e-12
+                try:
+                    dense = post_measurement_object(twin, rho, m)
+                except ZeroProbabilityOutcome:
+                    with pytest.raises(ZeroProbabilityOutcome):
+                        post_measurement_object(ms, rho, m)
+                    continue
+                # compared before the division by the weight, as below
+                assert p * linalg.frobenius_dist(
+                    post_measurement_object(ms, rho, m).matrix,
+                    dense.matrix) <= 1e-12
         for m, k in zip(ms.labels, ms.kraus):
             weight, block = condition(k @ rho.matrix @ k.conj().T)
             assert abs(probs[m] - weight) <= 1e-12

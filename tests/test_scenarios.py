@@ -4,9 +4,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from iopsim import config, dynamics, linalg, scenarios
 from iopsim.errors import BadParameter, BadSlitGeometry
+from iopsim.iop import ZERO_WEIGHT_FLOOR
 from iopsim.measurement import completeness_defect
 from iopsim.scenarios import (
     INTERFERENCE_FLOOR,
@@ -107,6 +110,17 @@ class TestSpinOne:
         assert any("transposed" in note for note in report.notes)
 
 
+@st.composite
+def slit_geometries(draw):
+    """A grid of 16 to 96 sites and one to three slits anywhere on it, in
+    order and disjoint, touching or not; a zero-width slit is drawn too."""
+    grid_n = draw(st.integers(16, 96))
+    n = draw(st.integers(1, 3))
+    cuts = sorted(draw(st.lists(st.integers(0, grid_n),
+                                min_size=2 * n, max_size=2 * n)))
+    return grid_n, tuple(zip(cuts[::2], cuts[1::2]))
+
+
 class TestTwoSlit:
     def test_all_checks_pass(self):
         report = two_slit()
@@ -162,6 +176,46 @@ class TestTwoSlit:
         assert (report.outputs["contrast_coherent"]
                 < report.outputs["contrast_incoherent"])
         assert report.outputs["interference_term"] > INTERFERENCE_FLOOR
+
+    @pytest.mark.parametrize("grid_n, slits, steps", [
+        (16, ((0, 1), (1, 2)), 1),
+        (32, ((10, 11), (13, 14)), 20),
+    ], ids=["adjacent", "three-apart"])
+    def test_single_sites_at_odd_distance_do_not_interfere(self, grid_n, slits, steps):
+        # on an even ring every path between the two sites has odd length,
+        # so their cross term i^m J J is imaginary and drops out of the
+        # intensity: the fronts meet, yet coherent equals incoherent
+        report = two_slit(grid_n=grid_n, slit_positions=slits, steps=steps)
+        assert report.all_pass()
+        assert report.outputs["interference_term"] <= INTERFERENCE_FLOOR
+        term = next(c for c in report.checks
+                    if c.description.startswith("interference_term"))
+        assert "vacuous" in term.description
+
+    @given(geometry=slit_geometries(), steps=st.integers(1, 60),
+           p_pass=st.none() | st.floats(0.0, 1.0, exclude_min=True))
+    @example(geometry=(16, ((0, 16),)), steps=1, p_pass=None)  # all open
+    @example(geometry=(64, ((0, 1), (63, 64))), steps=60, p_pass=1.0)
+    @example(geometry=(17, ((3, 4), (6, 7))), steps=2, p_pass=None)
+    @example(geometry=(16, ((3, 5),)), steps=1, p_pass=ZERO_WEIGHT_FLOOR)
+    @settings(max_examples=150, deadline=None)
+    def test_every_check_passes_across_geometry(self, geometry, steps, p_pass):
+        # a zero-width slit or a prior at or below the zero-weight floor
+        # is rejected up front; every other input passes every check
+        grid_n, slits = geometry
+        invalid = (any(a == b for a, b in slits)
+                   or p_pass is not None and p_pass <= ZERO_WEIGHT_FLOOR)
+        try:
+            report = two_slit(grid_n=grid_n, p_pass=p_pass,
+                              slit_positions=slits, steps=steps)
+        except (BadSlitGeometry, BadParameter):
+            assert invalid
+            return
+        assert not invalid
+        assert report.all_pass(), [c.description for c in report.checks
+                                   if not c.passed]
+        assert report.checks[0].description == "screen_completeness"
+        assert report.checks[0].residual == 0.0
 
     def test_bench_geometry_checks_interference(self):
         report = two_slit(grid_n=512, slit_positions=((160, 176), (336, 352)),

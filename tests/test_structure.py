@@ -6,9 +6,10 @@ an argument, and numpy's Hermitian eigensolvers are called from
 `linalg` only.  Paths that read a known spectrum call no eigensolver on
 a d x d matrix (`contract` diagonalizes only a core of the part's rank),
 an operator built from a spectral form builds its matrix only when it
-is read, and two-slit reads no operator matrix at all.  Every public
-function and method has a caller in the library, the benchmark or the
-acceptance suite, or a stated reason to exist without one.
+is read, and two-slit reads no operator matrix and no Kraus stack at
+all.  Every public function and method has a caller in the library, the
+benchmark or the acceptance suite, or a stated reason to exist without
+one.
 """
 
 import ast
@@ -26,7 +27,7 @@ import numpy as np
 import pytest
 
 import iopsim
-from iopsim import dynamics, iop, linalg
+from iopsim import dynamics, iop, linalg, scenarios
 from iopsim.composite import CompositeSpec, branch_decompose
 from iopsim.condensation import (
     CondensationStructure,
@@ -138,29 +139,47 @@ def test_two_slit_builds_no_operator_matrix(monkeypatch):
     assert built == []
 
 
-def test_two_slit_peaks_at_four_matrices_above_entry():
-    # the screen's two operators and the ring propagator are the only
-    # d x d arrays held at once; the fourth is room for temporaries
-    grid_n = 512
+def test_two_slit_builds_no_screen_stack(monkeypatch):
+    # the screen is held as routes, and two_slit reads only those: the
+    # (2, d, d) stack its `kraus` would build is never built
+    screens = []
+
+    def kept(grid_n, sites, _build=scenarios._slit_screen):
+        screens.append(_build(grid_n, sites))
+        return screens[-1]
+
+    monkeypatch.setattr(scenarios, "_slit_screen", kept)
+    assert two_slit(grid_n=64, slit_positions=((20, 22), (42, 44))).all_pass()
+    [screen] = screens
+    assert screen.routes is not None and "kraus" not in vars(screen)
+    assert screen.kraus.shape == (2, 65, 65)  # built on this first read
+    assert "kraus" in vars(screen)
+
+
+@pytest.mark.parametrize("grid_n, slits", [
+    (512, ((160, 176), (336, 352))),
+    (2048, ((640, 704), (1344, 1408))),
+], ids=["512", "2048"])
+def test_two_slit_peaks_at_two_matrices_above_entry(grid_n, slits):
+    # the ring propagator is the only d x d array two_slit builds; the
+    # second is room for temporaries
     matrix_bytes = (grid_n + 1) ** 2 * np.dtype(complex).itemsize
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
-        report = two_slit(grid_n=grid_n, slit_positions=((160, 176), (336, 352)),
-                          steps=160)
+        report = two_slit(grid_n=grid_n, slit_positions=slits, steps=160)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert report.all_pass()
-    assert (peak - entry) / matrix_bytes <= 4
+    assert (peak - entry) / matrix_bytes <= 2
 
 
-def test_single_entry_rows_build_no_square_product():
-    # every row of the screen holds at most one nonzero, so its defect is
-    # the norm of a length-d diagonal: the row pattern, a fifth of a d x d
-    # matrix, is the largest array built
+def test_routed_completeness_builds_no_square_array():
+    # the screen's defect is one bincount over its cols: a few length-d
+    # vectors are the largest arrays built, far below one d x d matrix
     grid_n = 512
-    matrix_bytes = (grid_n + 1) ** 2 * np.dtype(complex).itemsize
+    vector_bytes = (grid_n + 1) * np.dtype(complex).itemsize
     ms = _slit_screen(grid_n, range(160, 176))
     tracemalloc.start()
     try:
@@ -169,7 +188,8 @@ def test_single_entry_rows_build_no_square_product():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (peak - entry) / matrix_bytes <= 0.5
+    assert (peak - entry) / vector_bytes <= 4
+    assert "kraus" not in vars(ms)
 
 
 def _condensed_chain_start(seed):
