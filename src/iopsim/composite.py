@@ -16,7 +16,7 @@ import numpy as np
 from . import linalg
 from .condensation import CondensationStructure
 from .errors import DimensionMismatch
-from .iop import WEIGHT_SUM_TOL, InfoOperator, condition, entropy, validate
+from .iop import TRACE_TOL, InfoOperator, condition, entropy, validate
 from .serialize import matrix_to_json
 
 
@@ -50,7 +50,7 @@ class BranchDecomposition:
         bs = tuple(self.branches)
         if any(b.weight < 0 or b.residual < 0 for b in bs):
             raise ValueError("weights and residuals must be nonnegative")
-        if bs and abs(sum(b.weight for b in bs) - 1.0) > WEIGHT_SUM_TOL:
+        if bs and abs(sum(b.weight for b in bs) - 1.0) > TRACE_TOL:
             raise ValueError("branch weights must sum to 1")
         object.__setattr__(self, "branches", bs)
 

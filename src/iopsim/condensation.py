@@ -23,9 +23,8 @@ import numpy as np
 from . import linalg
 from .dynamics import UnitaryOp
 from .errors import DimensionMismatch, UnknownLabel, ZeroProbabilityLabel
-from .iop import InfoOperator, _validate_fresh, condition
+from .iop import InfoOperator, condition, validate
 
-CONDENSED_TOL = 1e-9
 BLOCK_TOL = 1e-9
 
 
@@ -120,7 +119,7 @@ def _union_spectrum(blocks, groups, dim: int) -> InfoOperator:
     for g, cols, (_, q) in zip(groups, np.split(column, starts), spectra):
         v[np.ix_(g, cols)] = q
     bound = math.sqrt(sum(linalg.checked_isometry(q) ** 2 for _, q in spectra))
-    return _validate_fresh(w[order], v, known_defect=bound)
+    return validate(linalg.HermEigen(w[order], v), bound)
 
 
 def condition_on_label(rho: InfoOperator, c: CondensationStructure, m) -> InfoOperator:
@@ -155,7 +154,7 @@ def is_condensed_form(rho: InfoOperator, c: CondensationStructure) -> bool:
     _check_dims(rho, c)
     owner = c._owner
     outside = rho.matrix[owner[:, None] != owner[None, :]]
-    return float(np.linalg.norm(outside)) <= CONDENSED_TOL
+    return float(np.linalg.norm(outside)) <= BLOCK_TOL
 
 
 def _coupling(u: UnitaryOp, c: CondensationStructure) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 from . import linalg
 from .config import get_hbar
 from .errors import DimensionMismatch, InsufficientPoints
-from .iop import InfoOperator, _validate_fresh
+from .iop import InfoOperator, validate
 
 TIME_SPACING_RTOL = 1e-9  # np.allclose bounds on uneven trajectory time steps
 TIME_SPACING_ATOL = 1e-12
@@ -134,7 +134,7 @@ def evolve(rho: InfoOperator, u: UnitaryOp) -> InfoOperator:
     bound = None
     if u.defect is not None and rho.isometry_defect is not None:
         bound = linalg.product_defect_bound(u.defect, rho.isometry_defect, *v.shape)
-    return _validate_fresh(w, _product(u, v), known_defect=bound)
+    return validate(linalg.HermEigen(w, _product(u, v)), bound)
 
 
 def propagator(h: HamiltonianOp, t0: float, t1: float) -> UnitaryOp:

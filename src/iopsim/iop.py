@@ -30,7 +30,6 @@ POSITIVITY_TOL = 1e-10
 SUPPORT_EIGENVALUE_FLOOR = 1e-10
 SUPPORT_RESIDUAL_TOL = 1e-8
 PURITY_TOL = 1e-9
-WEIGHT_SUM_TOL = 1e-10
 ZERO_WEIGHT_FLOOR = 1e-12
 
 
@@ -54,14 +53,12 @@ class InfoOperator:
     isometry_defect: float | None = None
 
     def __post_init__(self, known_matrix):
-        # a caller's arrays are copied, so a later write to them cannot
-        # reach what was checked; arrays this library just computed are
-        # handed over read-only, with no copy (`_hand_over`)
+        # every array is taken through `linalg.frozen`, so a later write
+        # to a caller's array cannot reach what was checked
         object.__setattr__(self, "spectrum", linalg.HermEigen(
             *(linalg.frozen(a) for a in self.spectrum)))
         if known_matrix is not None:
-            known_matrix.setflags(write=False)
-            self.__dict__["matrix"] = known_matrix
+            self.__dict__["matrix"] = linalg.frozen(known_matrix)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -129,7 +126,7 @@ def validate(m, known_defect=None) -> InfoOperator:
     if abs(tr - 1.0) > TRACE_TOL:
         raise TraceNotOne(f"trace {tr!r} differs from 1 by {abs(tr - 1.0):.3e}")
     if a is not None:
-        w, v = _hand_over(*linalg.eigh(a))
+        w, v = linalg.eigh(a)
     if w[0] < -POSITIVITY_TOL:
         raise NotPositive(f"minimum eigenvalue {w[0]:.3e}")
     if w[0] < 0:
@@ -137,26 +134,8 @@ def validate(m, known_defect=None) -> InfoOperator:
         a = _from_spectrum(w, v)
         tr = float(np.trace(a).real)
         a, w = a / tr, w / tr
-        _hand_over(w)
     return InfoOperator(dim=v.shape[0], spectrum=linalg.HermEigen(w, v),
                         known_matrix=a, isometry_defect=defect)
-
-
-def _hand_over(*arrays):
-    """`arrays`, which this library has just computed and keeps no other
-    reference to, made read-only in place: an InfoOperator then keeps them
-    with no copy.  The one place a spectrum skips `linalg.frozen`'s copy.
-    """
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
-
-
-def _validate_fresh(w, v, known_defect=None) -> InfoOperator:
-    """`validate` of the spectral form (w, V) of arrays this library has
-    just computed (or already holds read-only), handed over with no copy
-    (`_hand_over`)."""
-    return validate(linalg.HermEigen(*_hand_over(w, v)), known_defect)
 
 
 def _from_spectrum(w, v) -> np.ndarray:
@@ -173,8 +152,8 @@ def max_iop(d: int) -> InfoOperator:
     """The maximum i-operator (1/d) I; it describes every d-dim system."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    spectrum = _hand_over(np.full(d, 1.0 / d), np.eye(d, dtype=complex))
-    return InfoOperator(dim=d, spectrum=linalg.HermEigen(*spectrum),
+    spectrum = linalg.HermEigen(np.full(d, 1.0 / d), np.eye(d, dtype=complex))
+    return InfoOperator(dim=d, spectrum=spectrum,
                         known_matrix=np.eye(d, dtype=complex) / d,
                         isometry_defect=0.0)
 
@@ -226,7 +205,7 @@ def contract(rho: InfoOperator, k: Contraction) -> InfoOperator:
     g = k.s[:, None] * ((k.w.conj().T @ v) * np.sqrt(lam))
     mu, u = linalg.eigh(g @ g.conj().T)
     try:
-        return _validate_fresh(mu, k.q @ u)
+        return validate(linalg.HermEigen(mu, k.q @ u))
     except (TraceNotOne, NotPositive) as exc:
         raise ResultNotIOperator(
             f"K rho K^dag is not an i-operator for this rho: {exc}"
@@ -288,7 +267,7 @@ class Mixture:
             raise ValueError("weights and components must be nonempty and aligned")
         if any(w <= 0 for w in ws):
             raise ValueError("all mixture weights must be positive")
-        if abs(sum(ws) - 1.0) > WEIGHT_SUM_TOL:
+        if abs(sum(ws) - 1.0) > TRACE_TOL:  # tr sum_i p_i rho_i = sum_i p_i
             raise ValueError(f"weights sum to {sum(ws)!r}, not 1")
         dims = {c.dim for c in comps}
         if len(dims) != 1:

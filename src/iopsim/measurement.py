@@ -25,13 +25,11 @@ from .errors import (
     DimensionMismatch,
     NotDefinitive,
     NotFinite,
-    NotHermitian,
     UnknownLabel,
     ZeroProbabilityOutcome,
 )
-from .iop import InfoOperator, _validate_fresh, condition
+from .iop import InfoOperator, condition, validate
 
-COMPLETENESS_TOL = 1e-9
 IMAG_RESIDUE_TOL = 1e-10
 
 
@@ -93,9 +91,8 @@ class Observable:
     matrix: np.ndarray
 
     def __post_init__(self):
-        if not linalg.is_hermitian(self.matrix):
-            raise NotHermitian("observable must be Hermitian")
-        object.__setattr__(self, "matrix", linalg.frozen(self.matrix))
+        object.__setattr__(self, "matrix",
+                           linalg.frozen(linalg.hermitian(self.matrix)))
 
 
 def _route(pair, dim: int) -> tuple:
@@ -127,20 +124,18 @@ def _kraus_times(ms: MeasurementSystem, v: np.ndarray, k=slice(None)) -> np.ndar
 
 def completeness_defect(ms: MeasurementSystem) -> float:
     """||sum_m (M^m)^dag M^m - I||_F: for a routed family one bincount of
-    its cols, O(d) and exact; for a dense one R^dag R, R the rows of every
-    operator, a view of the stored (m, d, d) stack."""
+    its cols, O(d) and exact; for a dense one the isometry defect of R,
+    the rows of every operator stacked (a view of the stored (m, d, d)
+    stack), since sum_m (M^m)^dag M^m = R^dag R."""
     d = ms.dim_s
     if ms.routes is not None:
         cols = np.concatenate([cols for _, cols in ms.routes])
         return float(np.linalg.norm(np.bincount(cols, minlength=d) - 1.0))
-    rows = ms.kraus.reshape(-1, d)
-    total = rows.conj().T @ rows
-    total.flat[::d + 1] -= 1.0
-    return float(np.linalg.norm(total))
+    return linalg.unitarity_defect(ms.kraus.reshape(-1, d))
 
 
 def is_definitive(ms: MeasurementSystem) -> bool:
-    return completeness_defect(ms) <= COMPLETENESS_TOL
+    return completeness_defect(ms) <= linalg.UNITARITY_TOL
 
 
 def outcome_probabilities(ms: MeasurementSystem, rho: InfoOperator):
@@ -179,7 +174,7 @@ def post_measurement_object(ms: MeasurementSystem, rho: InfoOperator, m) -> Info
     if block is None:
         raise ZeroProbabilityOutcome(f"outcome {m!r} has probability {weight:.3e}")
     lam, s = linalg.eigh(block)
-    return _validate_fresh(lam, q @ s)
+    return validate(linalg.HermEigen(lam, q @ s))
 
 
 def observable(ms: MeasurementSystem) -> Observable:

@@ -186,25 +186,19 @@ def stern_gerlach(p_up_prior: float = 0.5, mc_samples: int = 10000,
     spec = composite.CompositeSpec(dim_s=2, dim_t=3, t_structure=t_structure)
     branches = composite.branch_decompose(rho_st2, spec)
 
-    expected_weights = {}
-    if p_up > 0:
-        expected_weights["-"] = p_up
-    if p_down > 0:
-        expected_weights["+"] = p_down
-    got = {b.label: b.weight for b in branches.branches}
-    weight_residual = (
-        1.0 if set(got) != set(expected_weights)
-        else max(abs(got[m] - expected_weights[m]) for m in got)
-    )
-    ck.residual("branch_weights", weight_residual)
+    # a label that branch_decompose omitted has weight 0
+    got = {b.label: b for b in branches.branches}
+    expected_weights = {"-": p_up, "+": p_down}
+    ck.residual("branch_weights", max(
+        abs((got[m].weight if m in got else 0.0) - expected_weights.get(m, 0.0))
+        for m in {*got, *expected_weights}))
     ck.residual("branch_separability",
                 max((b.residual for b in branches.branches), default=0.0))
 
     # Conditioning on the down-deflection label recovers the spin-up object.
-    if p_up > 0:
-        branch_minus = next(b for b in branches.branches if b.label == "-")
+    if "-" in got:
         ck.residual("post_measurement_object",
-                    linalg.frobenius_dist(branch_minus.rho_s.matrix, rho_up.matrix))
+                    linalg.frobenius_dist(got["-"].rho_s.matrix, rho_up.matrix))
     else:
         ck.residual("post_measurement_object", 0.0,
                     "post_measurement_object (vacuous: no down branch)")

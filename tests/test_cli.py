@@ -45,6 +45,11 @@ class TestRun:
         out = capsys.readouterr().out
         assert "FAIL" not in out and "all checks passed" in out
 
+    def test_prior_below_the_zero_weight_floor_exits_zero(self, capsys):
+        assert run_cli(["run", "stern-gerlach", "--p-up", "1e-13"]) == 0
+        out, err = capsys.readouterr()
+        assert "all checks passed" in out and "Traceback" not in err
+
     def test_json_output_parses(self, capsys):
         assert run_cli(["run", "spin-one", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)

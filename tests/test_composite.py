@@ -172,7 +172,8 @@ class TestQuantizationAxisIndifference:
 
 class TestBranchWeightSum:
     def test_shares_the_mixture_bound(self):
-        # the bound is iop.WEIGHT_SUM_TOL (1e-10), as for Mixture
+        # the bound is iop.TRACE_TOL (1e-10), as for Mixture: the trace of
+        # sum_i p_i rho_i is sum_i p_i
         rho = max_iop(2)
         ok = Branch("a", 0.5, rho, rho, 0.0), Branch("b", 0.5 + 5e-11, rho, rho, 0.0)
         assert len(BranchDecomposition(ok).branches) == 2

@@ -10,7 +10,6 @@ from scipy.sparse.csgraph import connected_components
 from iopsim import linalg
 from iopsim.condensation import (
     BLOCK_TOL,
-    CONDENSED_TOL,
     CondensationStructure,
     _coupling,
     block_projected,
@@ -180,7 +179,7 @@ class TestBlockBasis:
         rho = random_iop(rng, c.dim)
         projected = sum(p @ rho.matrix @ p for p in projectors(c))
         assert is_condensed_form(rho, c) == bool(
-            np.linalg.norm(rho.matrix - projected) <= CONDENSED_TOL)
+            np.linalg.norm(rho.matrix - projected) <= BLOCK_TOL)
         assert is_condensed_form(validate(projected), c)
 
     @given(c=partitions(), dim_left=st.integers(1, 3))

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iopsim import linalg, scenarios
+from iopsim import dynamics, linalg, scenarios
 from iopsim.composite import Branch
 from iopsim.errors import (
     DimensionMismatch,
     NotDefinitive,
     NotFinite,
+    NotHermitian,
+    NotUnitary,
     SupportViolation,
     ZeroProbabilityOutcome,
 )
@@ -335,6 +337,21 @@ class TestCompleteness:
         if np.array_equal(cols, np.arange(d)):
             assert completeness_defect(ms) == 0.0
 
+    @pytest.mark.parametrize("d", [2, 5, 16])
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_one_operator_family_is_definitive_iff_unitary(self, d, factor):
+        # K = c U has K^dag K - I = (c^2 - 1) I, of norm factor UNITARITY_TOL:
+        # completeness of [K] and unitarity of K are one decision
+        u = random_unitary(np.random.default_rng(d), d).matrix
+        k = u * math.sqrt(1 + factor * linalg.UNITARITY_TOL / math.sqrt(d))
+        ms = MeasurementSystem(dim_s=d, labels=("k",), kraus=(k,), f={})
+        try:
+            dynamics.unitary(k)
+            unitary = True
+        except NotUnitary:
+            unitary = False
+        assert is_definitive(ms) == unitary == (factor < 1)
+
     @pytest.mark.parametrize("grid_n, slits", [
         (16, ((0, 16),)),
         (16, ((3, 5),)),
@@ -416,6 +433,20 @@ class TestObservable:
     def test_spin_half_z(self, z_system):
         obs = observable(z_system)
         np.testing.assert_allclose(obs.matrix, np.diag([0.5, -0.5]), atol=1e-12)
+
+    @pytest.mark.parametrize("matrix, error", [
+        (np.zeros((2, 3)), DimensionMismatch),
+        ([[1.0, 2.0], [3.0, 4.0]], NotHermitian),
+        (np.diag([1.0, np.nan]), NotFinite),
+        (np.ones(2), DimensionMismatch),
+    ], ids=["two-by-three", "nested-list", "nan", "one-dimensional"])
+    def test_entry_is_the_hermitian_check(self, matrix, error):
+        with pytest.raises(error):
+            Observable(matrix=matrix)
+
+    def test_nested_list_accepted(self):
+        obs = Observable(matrix=[[1, 1j], [-1j, 0]])
+        assert obs.matrix.dtype == complex and not obs.matrix.flags.writeable
 
     def test_expectation_matches_weighted_probabilities(self, rng, z_system):
         rho = random_iop(rng, 2)

@@ -224,34 +224,6 @@ def test_block_spectra_check_each_block_gram(monkeypatch):
         assert linalg.measured_bound(out.isometry_defect, *v.shape) >= counted(v)
 
 
-def test_producers_hand_their_spectra_over_uncopied(monkeypatch):
-    # evolve, contract, the block spectra, post_measurement_object, max_iop
-    # and validate of a matrix, clamped or not, hand the arrays they
-    # computed over read-only, so no operator copies its spectrum
-    c, u, rho = _condensed_chain_start(23)
-    assert len(u.groups) == 8
-    ms = MeasurementSystem.projective(dict(zip(c.labels, projectors(c))))
-    copied = []
-
-    def spy(entries, dtype=None, _frozen=linalg.frozen):
-        out = _frozen(entries, dtype)
-        if out is not entries:
-            copied.append(out.shape)
-        return out
-
-    monkeypatch.setattr(linalg, "frozen", spy)
-    rho = evolve(evolve(rho, u), u)
-    whole = block_projected(rho, c)
-    part = condition_on_label(rho, c, 3)
-    iop.contract(whole, iop.contraction_from_mixture(whole, part))
-    post_measurement_object(ms, rho, 5)
-    validate(part.matrix)
-    evolve(iop.max_iop(128), u)
-    clamped = validate(np.diag([1.0 + 1e-12, -1e-12]))
-    assert clamped.spectrum.eigenvalues[0] == 0.0
-    assert copied == []
-
-
 @pytest.fixture
 def eigensolver_shapes(monkeypatch):
     """Shapes of the matrices numpy's Hermitian eigensolvers are called on."""
