@@ -80,7 +80,9 @@ def branch_decompose(rho_st: InfoOperator, spec: CompositeSpec) -> BranchDecompo
     For each label with nonzero weight, slices out the rows and columns
     that I (x) P^m keeps, splits that block by partial traces, and records
     how far the block is from the separable product; the T-side operator
-    is embedded back into dim_t x dim_t.  Zero-weight labels are omitted.
+    is embedded back into dim_t x dim_t.  Each weight is the trace that
+    `condition` measured, not rescaled: zero-weight labels are omitted,
+    so the weights sum to tr rho minus at most ZERO_WEIGHT_FLOOR a label.
     """
     ds, dt = spec.dim_s, spec.dim_t
     if rho_st.dim != ds * dt:
@@ -99,10 +101,7 @@ def branch_decompose(rho_st: InfoOperator, spec: CompositeSpec) -> BranchDecompo
         product = np.kron(rho_s.matrix, rho_t.matrix[np.ix_(g, g)])
         distance = float(np.linalg.norm(block - product))
         branches.append(Branch(m, weight, rho_s, rho_t, weight * distance))
-    total = sum(b.weight for b in branches)
-    return BranchDecomposition(branches=tuple(
-        Branch(b.label, b.weight / total, b.rho_s, b.rho_t, b.residual)
-        for b in branches))
+    return BranchDecomposition(branches=tuple(branches))
 
 
 def unconditional_object(b: BranchDecomposition) -> InfoOperator:

@@ -9,6 +9,7 @@ maximum one, and every component of a mixture is a contraction of the mix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass
 from functools import cached_property
 
@@ -27,7 +28,6 @@ from .errors import (
 
 TRACE_TOL = 1e-10
 POSITIVITY_TOL = 1e-10
-SUPPORT_EIGENVALUE_FLOOR = 1e-10
 SUPPORT_RESIDUAL_TOL = 1e-8
 PURITY_TOL = 1e-9
 ZERO_WEIGHT_FLOOR = 1e-12
@@ -40,8 +40,8 @@ class InfoOperator:
     `spectrum` is its spectral form as the constructor found it, with
     nonnegative ascending eigenvalues; it may be thin (pure_iop keeps
     one column).  `matrix` is the one the constructor had in hand
-    (`validate` of a matrix, `max_iop`), or, for a spectral form such as
-    `pure_iop`'s, `_from_spectrum(w, V)` built on first read.
+    (`validate` of an unclamped matrix, `max_iop`), or else
+    `_from_spectrum(w, V)` built on first read.
     `isometry_defect` bounds the exact ||V^dag V - I||_F of the
     spectrum's V when the constructor proved one (`validate` of a
     spectral form, `max_iop`), and is None otherwise.
@@ -103,37 +103,32 @@ class Contraction:
 def validate(m, known_defect=None) -> InfoOperator:
     """Validate a matrix, or a spectral form `linalg.HermEigen`, as an i-operator.
 
-    Eigenvalues in [-POSITIVITY_TOL, 0) are clamped to zero and the trace
-    renormalized; anything below the tolerance raises NotPositive.  This
-    keeps operators produced by long evolutions and Kraus maps usable
-    without silently accepting genuinely indefinite matrices.  A spectral
-    form needs no eigensolver and no matrix: its eigenvectors are checked
-    to be orthonormal, its trace is sum_i w_i |v_i|^2, and its matrix is
-    built on first read (at once only when it clamps).  `known_defect`,
-    a bound on its eigenvectors' ||V^dag V - I||_F that the caller proved
-    (`dynamics.evolve` carries one), spares the dense isometry check
-    unless it cannot settle UNITARITY_TOL.
+    Eigenvalues in [-POSITIVITY_TOL, 0) are clamped to zero and nothing is
+    rescaled; anything below the tolerance raises NotPositive.  This keeps
+    operators produced by long evolutions and Kraus maps usable without
+    silently accepting genuinely indefinite matrices.  TRACE_TOL bounds the
+    trace of the operator returned: an unclamped matrix keeps its own, and
+    any other is sum_i w_i |v_i|^2 with its matrix built on first read.  A
+    spectral form needs no eigensolver: its eigenvectors are checked to be
+    orthonormal.  `known_defect`, a bound on their ||V^dag V - I||_F that
+    the caller proved (`dynamics.evolve` carries one), spares the dense
+    isometry check unless it cannot settle UNITARITY_TOL.
     """
     defect = None
     if isinstance(m, linalg.HermEigen):
         (w, v), defect = linalg.checked_spectrum(m, known_defect)
         a = None
-        tr = float(np.vdot(v * w, v).real)
     else:
         a = linalg.hermitian(m)
         a = (a + a.conj().T) / 2
-        tr = float(np.trace(a).real)
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise TraceNotOne(f"trace {tr!r} differs from 1 by {abs(tr - 1.0):.3e}")
-    if a is not None:
         w, v = linalg.eigh(a)
     if w[0] < -POSITIVITY_TOL:
         raise NotPositive(f"minimum eigenvalue {w[0]:.3e}")
     if w[0] < 0:
-        w = np.clip(w, 0.0, None)
-        a = _from_spectrum(w, v)
-        tr = float(np.trace(a).real)
-        a, w = a / tr, w / tr
+        w, a = np.clip(w, 0.0, None), None
+    tr = float((np.vdot(v * w, v) if a is None else np.trace(a)).real)
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise TraceNotOne(f"trace {tr!r} differs from 1 by {abs(tr - 1.0):.3e}")
     return InfoOperator(dim=v.shape[0], spectrum=linalg.HermEigen(w, v),
                         known_matrix=a, isometry_defect=defect)
 
@@ -158,15 +153,22 @@ def max_iop(d: int) -> InfoOperator:
                         isometry_defect=0.0)
 
 
+def unit_vector(psi) -> np.ndarray:
+    """psi / ||psi|| for a nonzero finite psi, first scaled exactly by the
+    power of two that takes its top modulus into [1/2, 1): nothing underflows."""
+    v = np.asarray(psi, dtype=complex).ravel()
+    top = float(np.abs(v).max(initial=0.0))
+    if not math.isfinite(top):
+        raise NotFinite(f"vector entry of modulus {top} is not finite")
+    if top == 0:
+        raise ZeroVector("zero vector has no associated pure operator")
+    v = np.ldexp(v.view(float), -math.frexp(top)[1]).view(complex)
+    return v / np.linalg.norm(v)
+
+
 def pure_iop(psi) -> InfoOperator:
     """|psi><psi| for a (not necessarily normalized) nonzero finite vector."""
-    v = np.asarray(psi, dtype=complex).ravel()
-    n = float(np.linalg.norm(v))
-    if not np.isfinite(n):
-        raise NotFinite(f"vector norm {n} is not finite")
-    if n == 0:
-        raise ZeroVector("zero vector has no associated pure operator")
-    v = v / n
+    v = unit_vector(psi)
     return InfoOperator(dim=v.size, spectrum=linalg.HermEigen(np.ones(1), v[:, None]))
 
 
@@ -235,8 +237,8 @@ def contraction_from_mixture(whole: InfoOperator, part: InfoOperator) -> Contrac
         raise DimensionMismatch(f"dims differ: {whole.dim} vs {part.dim}")
     ww, wv = whole.spectrum
     pw, pv = part.spectrum
-    sup = wv[:, ww > SUPPORT_EIGENVALUE_FLOOR]
-    checked = np.flatnonzero(pw > SUPPORT_EIGENVALUE_FLOOR)
+    sup = wv[:, ww > ZERO_WEIGHT_FLOOR]
+    checked = np.flatnonzero(pw > ZERO_WEIGHT_FLOOR)
     vecs = pv[:, checked] * np.sqrt(pw[checked])
     residuals = np.linalg.norm(vecs - sup @ (sup.conj().T @ vecs), axis=0)
     outside = np.flatnonzero(residuals > SUPPORT_RESIDUAL_TOL)
@@ -248,8 +250,7 @@ def contraction_from_mixture(whole: InfoOperator, part: InfoOperator) -> Contrac
         )
     n = min(ww.size, pw.size)
     ww, wv, pw, pv = ww[-n:], wv[:, -n:], pw[-n:], pv[:, -n:]
-    ok = ww > SUPPORT_EIGENVALUE_FLOOR
-    ratios = np.divide(pw, ww, out=np.zeros(n), where=ok)
+    ratios = np.divide(pw, ww, out=np.zeros(n), where=ww > ZERO_WEIGHT_FLOOR)
     return Contraction(q=pv, s=np.sqrt(ratios), w=wv)
 
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import NotFinite, NotPure, ZeroVector
-from .iop import InfoOperator, is_pure, pure_iop
+from .errors import NotPure
+from .iop import InfoOperator, is_pure, pure_iop, unit_vector
 
 GAUGE_FLOOR = 1e-12
 
@@ -30,18 +30,9 @@ class InfoVector:
 
 def gauge_fix(amplitudes) -> InfoVector:
     """Normalize and rotate so the first component above the floor is real > 0."""
-    v = np.asarray(amplitudes, dtype=complex).ravel()
-    norm = float(np.linalg.norm(v))
-    if not np.isfinite(norm):
-        raise NotFinite(f"vector norm {norm} is not finite")
-    if norm < GAUGE_FLOOR:
-        raise ZeroVector(f"norm {norm:.3e} below gauge floor")
-    v = v / norm
-    big = np.flatnonzero(np.abs(v) > GAUGE_FLOOR)
-    if big.size:
-        pivot = v[big[0]]
-        v = v * (abs(pivot) / pivot)
-    return InfoVector(dim=v.size, amplitudes=v)
+    v = unit_vector(amplitudes)
+    pivot = v[np.flatnonzero(np.abs(v) > GAUGE_FLOOR)[0]]
+    return InfoVector(dim=v.size, amplitudes=v * (abs(pivot) / pivot))
 
 
 def to_iop(v: InfoVector) -> InfoOperator:

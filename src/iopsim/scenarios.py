@@ -225,7 +225,9 @@ def stern_gerlach(p_up_prior: float = 0.5, mc_samples: int = 10000,
                                                    n=mc_samples, seed=seed))
     worst = 0.0
     for m, p in exact.items():
-        bound = 4 * math.sqrt(max(p * (1 - p), 0.0) / mc_samples)
+        # Bernstein at the 4-sigma exponent; 16/(3n) holds it when n p is small
+        bound = (4 * math.sqrt(max(p * (1 - p), 0.0) / mc_samples)
+                 + 16 / (3 * mc_samples))
         worst = max(worst, abs(freq[m] - p) - bound)
     ck.residual("sampled_frequencies", worst,
                 "sampled_frequencies (excess over 4-sigma binomial bound)")
@@ -631,7 +633,8 @@ def two_slit(grid_n: int = 128, p_pass=None,
                  residual=max(0.0, INTERFERENCE_FLOOR - term))
     else:
         ck.holds("interference_term", True,
-                 "interference_term (vacuous: no two wavefronts have met)")
+                 "interference_term (vacuous: no two wavefronts have met "
+                 "along an even path)")
 
     # no-second-path control: with a single slit the operator route and
     # the information-vector route must give the same pattern

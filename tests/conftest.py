@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from iopsim.iop import SUPPORT_EIGENVALUE_FLOOR
+from iopsim.iop import ZERO_WEIGHT_FLOOR
 from iopsim.measurement import MeasurementSystem
 
 # the generators live in the library; tests import them from here
@@ -39,7 +39,7 @@ def kraus_from_branches(branches, whole, f=None):
     """
     w, v = whole.spectrum
     inv_sqrt = np.zeros_like(w)
-    pos = w > SUPPORT_EIGENVALUE_FLOOR
+    pos = w > ZERO_WEIGHT_FLOOR
     inv_sqrt[pos] = 1.0 / np.sqrt(w[pos])
     whole_m12 = (v * inv_sqrt) @ v.conj().T
     labels, kraus = [], []

@@ -50,6 +50,17 @@ class TestRun:
         out, err = capsys.readouterr()
         assert "all checks passed" in out and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["cat", "--p-plus", "2e-12"],
+        ["stern-gerlach", "--p-up", "1e-12"],
+    ], ids=["cat-2e-12", "stern-gerlach-1e-12"])
+    def test_prior_at_the_zero_weight_floor_exits_zero(self, argv, capsys):
+        # a label just above the floor lies inside the mixture's support; a
+        # branch at the floor is omitted, and the unconditional object then
+        # misses it by its weight p, within the floor
+        assert run_cli(["run", *argv]) == 0
+        assert "all checks passed" in capsys.readouterr().out
+
     def test_json_output_parses(self, capsys):
         assert run_cli(["run", "spin-one", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)

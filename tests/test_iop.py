@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
 from iopsim import linalg
@@ -31,7 +31,6 @@ from iopsim.errors import (
 )
 from iopsim.iop import (
     POSITIVITY_TOL,
-    SUPPORT_EIGENVALUE_FLOOR,
     ZERO_WEIGHT_FLOOR,
     Contraction,
     Mixture,
@@ -61,6 +60,11 @@ class TestValidate:
     def test_rejects_bad_trace(self):
         with pytest.raises(TraceNotOne):
             validate(np.diag([0.7, 0.4]))
+
+    def test_clamp_rescales_nothing(self):
+        # only the second clamps; both keep trace 1 + 9e-11
+        a, b = (validate(np.diag([1 + 9e-11, x])) for x in (0.0, -1e-16))
+        assert linalg.frobenius_dist(a.matrix, b.matrix) <= 1e-15
 
     def test_rejects_indefinite(self):
         # eigenvalues 1.1 and -0.1
@@ -227,15 +231,15 @@ class TestContractionFromMixture:
             contraction_from_mixture(whole, part)
 
     def test_part_equal_to_whole_near_the_floor(self):
-        # eigenvalues 5e-11 and 2e-10 straddle SUPPORT_EIGENVALUE_FLOOR: the
-        # part's 2e-10 eigenvector, from a second decomposition, leans ~1e-6
-        # onto the whole's sub-floor one, but carries ~1e-5 of amplitude
+        # eigenvalues 5e-13 and 2e-12 straddle ZERO_WEIGHT_FLOOR: the
+        # part's 2e-12 eigenvector, from a second decomposition, leans ~1e-4
+        # onto the whole's sub-floor one, but carries ~1e-6 of amplitude
         rng = np.random.default_rng(0)
         c = CondensationStructure.from_index_blocks(3, {"all": [0, 1, 2]})
         rejected = 0
         for _ in range(200):
             v = random_unitary(rng, 3).matrix
-            whole = validate(v @ np.diag([5e-11, 2e-10, 1 - 2.5e-10]) @ v.conj().T)
+            whole = validate(v @ np.diag([5e-13, 2e-12, 1 - 2.5e-12]) @ v.conj().T)
             part = condition_on_label(whole, c, "all")
             try:
                 contraction_from_mixture(whole, part)
@@ -270,6 +274,31 @@ class TestContractionFromMixture:
             k = contraction_from_mixture(whole, part)
             out = contract(whole, k)
             assert linalg.frobenius_dist(out.matrix, part.matrix) <= 1e-8
+
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 6),
+           log_p=st.floats(math.log10(ZERO_WEIGHT_FLOOR / 10), -8.0))
+    @settings(max_examples=150, deadline=None)
+    def test_light_component_round_trip(self, seed, d, log_p):
+        """A pure component of weight p, orthogonal to the rest of the
+        mixture: above the floor it comes back through its contraction,
+        at or below it lies outside the mixture's support."""
+        rng = np.random.default_rng(seed)
+        p = 10.0 ** log_p
+        u = random_unitary(rng, d).matrix
+        part = pure_iop(u[:, 0])
+        rest = validate(linalg.HermEigen(np.sort(rng.dirichlet(np.ones(d - 1))),
+                                         u[:, 1:]))
+        whole = validate(p * part.matrix + (1 - p) * rest.matrix)
+        try:
+            k = contraction_from_mixture(whole, part)
+        except SupportViolation:
+            # eigh finds the whole's eigenvalue p to ~1e-16, so a p within
+            # that of the floor may fall on either side of it
+            assert p <= ZERO_WEIGHT_FLOOR * (1 + 1e-3)
+            return
+        residual = linalg.frobenius_dist(contract(whole, k).matrix, part.matrix)
+        target(residual)
+        assert residual <= 1e-8
 
 
 class TestMixture:
@@ -341,13 +370,13 @@ def raw_spectrum(rng, d, kind):
     """(w, V): ascending eigenvalues summing to 1 and orthonormal columns.
 
     rank1 is thin (one column); straddling puts one eigenvalue just below
-    or just above SUPPORT_EIGENVALUE_FLOOR; clamped has a minimum
+    or just above ZERO_WEIGHT_FLOOR; clamped has a minimum
     eigenvalue in [-POSITIVITY_TOL, 0), which validate clamps to zero.
     """
     v = random_unitary(rng, d).matrix
     if kind == "rank1":
         return np.ones(1), v[:, :1]
-    low = {"straddling": [rng.choice([0.5, 2.0]) * SUPPORT_EIGENVALUE_FLOOR],
+    low = {"straddling": [rng.choice([0.5, 2.0]) * ZERO_WEIGHT_FLOOR],
            "clamped": [-rng.uniform(0.01, 1.0) * POSITIVITY_TOL],
            "generic": []}[kind]
     rest = rng.dirichlet(np.ones(d - len(low))) * (1.0 - sum(low))
@@ -364,7 +393,7 @@ def holds_matrix(rho):
 
 
 def round_trip(whole, k):
-    """K whole K^dag before validation, which renormalizes only if it clamps."""
+    """K whole K^dag before validation, which may clamp."""
     return k @ whole.matrix @ k.conj().T
 
 
@@ -373,7 +402,7 @@ def dense_mixture_contraction(whole, part):
     oracle for contraction_from_mixture on stored, possibly thin, spectra."""
     ww, wv = np.linalg.eigh(whole.matrix)
     pw, pv = np.linalg.eigh(part.matrix)
-    ok = ww > SUPPORT_EIGENVALUE_FLOOR
+    ok = ww > ZERO_WEIGHT_FLOOR
     ratios = np.zeros(whole.dim)
     ratios[ok] = np.clip(pw[ok], 0.0, None) / ww[ok]
     return (pv * np.sqrt(ratios)) @ wv.conj().T
@@ -389,8 +418,8 @@ class TestSpectralForm:
         w, v = raw_spectrum(np.random.default_rng(seed), d, kind)
         fast = validate(linalg.HermEigen(w, v))
         assert linalg.frobenius_dist(fast.matrix, validate(dense(w, v)).matrix) <= 1e-12
-        assert fast.spectrum.eigenvalues[0] >= 0
-        assert abs(np.sum(fast.spectrum.eigenvalues) - 1.0) <= 1e-12
+        # a clamp zeroes the negative eigenvalue and rescales nothing
+        assert np.array_equal(fast.spectrum.eigenvalues, np.clip(w, 0.0, None))
 
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 6),
            kind=st.sampled_from(KINDS))
@@ -484,11 +513,10 @@ class TestSpectralForm:
     def test_matrix_is_built_on_first_read(self, seed, d, kind):
         w, v = raw_spectrum(np.random.default_rng(seed), d, kind)
         rho = validate(linalg.HermEigen(w, v))
-        # only the clamp path builds the matrix at once, to renormalize it
-        assert holds_matrix(rho) == (kind == "clamped")
+        # a clamp too leaves the matrix to be built from the clamped spectrum
+        assert not holds_matrix(rho)
         built = rho.matrix
-        if kind != "clamped":
-            assert np.array_equal(built, _from_spectrum(*rho.spectrum))
+        assert np.array_equal(built, _from_spectrum(*rho.spectrum))
         assert built is rho.matrix and not built.flags.writeable
         assert np.max(np.abs(rho.diagonal() - built.diagonal().real)) <= 1e-15
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from iopsim import linalg
 from iopsim.errors import NotFinite, NotPure, ZeroVector
 from iopsim.ivec import InfoVector, from_iop, gauge_fix, to_iop
-from iopsim.iop import is_pure, max_iop
+from iopsim.iop import is_pure, max_iop, pure_iop
 
 from conftest import random_pure
 
@@ -37,6 +37,18 @@ class TestGaugeFix:
     def test_zero_vector_rejected(self):
         with pytest.raises(ZeroVector):
             gauge_fix([0.0, 0.0])
+
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6),
+           log_norm=st.floats(-300.0, -12.0))
+    @settings(max_examples=60, deadline=None)
+    def test_tiny_vector_is_not_zero(self, seed, d, log_norm):
+        # one rule with pure_iop: only a zero or non-finite norm is rejected
+        rng = np.random.default_rng(seed)
+        psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+        v = psi / np.linalg.norm(psi) * 10.0 ** log_norm
+        assert linalg.frobenius_dist(to_iop(gauge_fix(v)).matrix,
+                                     pure_iop(v).matrix) <= 1e-15
+        assert linalg.frobenius_dist(pure_iop(v).matrix, pure_iop(psi).matrix) <= 1e-15
 
     @pytest.mark.parametrize("amplitudes", [[np.nan, 1.0], [1.0, -np.inf]])
     def test_non_finite_rejected(self, amplitudes):

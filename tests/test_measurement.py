@@ -545,13 +545,13 @@ class TestKrausFromBranches:
 
 class TestSupportFloor:
     def test_kraus_support_matches_contraction_support(self):
-        # whole has eigenvalue 5e-11 in (1e-12, 1e-10] along e1: both
+        # whole has eigenvalue 5e-13 <= ZERO_WEIGHT_FLOOR along e1: both
         # constructions treat e1 as outside its support
-        whole = validate(np.diag([1 - 5e-11, 5e-11]))
+        whole = validate(np.diag([1 - 5e-13, 5e-13]))
         branches = [
-            Branch(label="0", weight=1 - 5e-11, rho_s=pure_iop([1, 0]),
+            Branch(label="0", weight=1 - 5e-13, rho_s=pure_iop([1, 0]),
                    rho_t=max_iop(1), residual=0.0),
-            Branch(label="1", weight=5e-11, rho_s=pure_iop([0, 1]),
+            Branch(label="1", weight=5e-13, rho_s=pure_iop([0, 1]),
                    rho_t=max_iop(1), residual=0.0),
         ]
         ms = kraus_from_branches(branches, whole)

@@ -108,6 +108,20 @@ def test_thresholds_are_module_constants():
     assert sorted(literals) == []
 
 
+def test_readme_names_every_tolerance_constant():
+    # README's Conventions list the tolerances; a constant added or
+    # deleted here must be added or deleted there too
+    named = re.compile(r"[A-Z_]+_(?:TOL|FLOOR|RTOL|ATOL)")
+    defined = {target.id
+               for path in SRC.glob("*.py")
+               for node in ast.parse(path.read_text()).body
+               if isinstance(node, ast.Assign)
+               for target in node.targets
+               if isinstance(target, ast.Name) and named.fullmatch(target.id)}
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    assert set(re.findall(rf"\b{named.pattern}\b", readme)) == defined
+
+
 @pytest.mark.parametrize("step", [
     "evolve", "post_measurement_object", "block_projected", "condition_on_label"])
 def test_spectral_results_build_their_matrix_on_first_read(step):
