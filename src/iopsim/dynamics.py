@@ -8,12 +8,13 @@ equation of motion i hbar d(rho)/dt = [H, rho].
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import linalg
 from .config import get_hbar
-from .errors import DimensionMismatch, InsufficientPoints
+from .errors import DimensionMismatch, InsufficientPoints, NotFinite, NotUnitary
 from .iop import InfoOperator, validate
 
 TIME_SPACING_RTOL = 1e-9  # np.allclose bounds on uneven trajectory time steps
@@ -56,34 +57,74 @@ class UnitaryOp:
         object.__setattr__(self, "matrix", linalg.frozen(self.matrix))
 
 
+@dataclass(frozen=True)
+class FourierUnitary:
+    """F^-1 diag(phases) F on the first n = len(phases) indices and the
+    identity on the rest, F the DFT; built by `fourier_unitary`, which
+    checks it.
+
+    `evolve` applies it by FFT, O(n log n) per column, so no d x d array
+    is built; `matrix` is built on first read, as the circulant whose
+    first column is the inverse DFT of the phases.
+    """
+
+    dim: int
+    phases: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "phases", linalg.frozen(self.phases))
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        n = self.phases.size
+        column = np.fft.ifft(self.phases)
+        k = np.arange(n)
+        a = np.eye(self.dim, dtype=complex)
+        a[:n, :n] = column[(k[:, None] - k) % n]
+        a.setflags(write=False)
+        return a
+
+
 def hamiltonian(m) -> HamiltonianOp:
     a = linalg.hermitian(m)
     return HamiltonianOp(dim=a.shape[0], matrix=(a + a.conj().T) / 2)
 
 
-def unitary(m, known_defect=None) -> UnitaryOp:
+def unitary(m) -> UnitaryOp:
     """`m` checked unitary to UNITARITY_TOL (NotUnitary otherwise).
 
-    `known_defect`, a bound on the exact ||U^dag U - I||_F that the caller
-    proved, replaces the dense check when it is within the tolerance.
-    The dense check also reads U's zero pattern for its `groups`, O(d^2)
-    beside the check's O(d^3), once d^3 exceeds two groups' GROUP_COST:
-    below that no partition can pay.  A proven bound skips both: the
-    two-slit ring propagator's pattern is one group, and reading it would
-    add about a sixth to a two-slit run (README, Conventions).
+    The check's bound is kept as `defect`.  Once d^3 exceeds two groups'
+    GROUP_COST, U's zero pattern is read for its `groups` too, O(d^2)
+    beside the check's O(d^3); below that no partition can pay.
     """
     a = linalg.as_cmatrix(linalg.frozen(m, dtype=complex))
     d = linalg.require_square(a)
-    groups = None
-    if known_defect is None or not known_defect <= linalg.UNITARITY_TOL:
-        known_defect = linalg.checked_isometry(a, name="unitarity")
-        if d ** 3 > 2 * GROUP_COST:
-            groups = linalg.index_groups(a)
     u = UnitaryOp(dim=d, matrix=a)
-    object.__setattr__(u, "defect", known_defect)
-    if groups is not None and _grouped_pays(groups, d, d):
-        object.__setattr__(u, "groups", groups)
+    object.__setattr__(u, "defect", linalg.checked_isometry(a, name="unitarity"))
+    if d ** 3 > 2 * GROUP_COST:
+        groups = linalg.index_groups(a)
+        if groups is not None and _grouped_pays(groups, d, d):
+            object.__setattr__(u, "groups", groups)
     return u
+
+
+def fourier_unitary(phases, dim: int) -> FourierUnitary:
+    """F^-1 diag(phases) F on indices < len(phases) <= dim, the identity
+    on the rest, checked unitary to UNITARITY_TOL.
+
+    The DFT diagonalizes it, so its exact ||U^dag U - I||_F is
+    ||(|phases_k|^2 - 1)_k|| (Gray, Toeplitz and Circulant Matrices: A
+    Review, 2006): NotUnitary above the tolerance.
+    """
+    lam = np.asarray(phases, dtype=complex)
+    if lam.ndim != 1 or lam.size > dim:
+        raise DimensionMismatch(f"phases of shape {lam.shape} for dim {dim}")
+    if not np.isfinite(lam).all():
+        raise NotFinite("phases contain NaN or Inf")
+    defect = float(np.linalg.norm(lam.real ** 2 + lam.imag ** 2 - 1))
+    if defect > linalg.UNITARITY_TOL:
+        raise NotUnitary(f"unitarity defect {defect:.3e}")
+    return FourierUnitary(dim=dim, phases=lam)
 
 
 def _grouped_pays(groups, d: int, r: int) -> bool:
@@ -93,9 +134,10 @@ def _grouped_pays(groups, d: int, r: int) -> bool:
     return len(groups) * GROUP_COST < (d * d - sum(g.size ** 2 for g in groups)) * r
 
 
-def _product(u: UnitaryOp, v: np.ndarray) -> np.ndarray:
-    """U V, one group g of `u.groups` at a time when that pays: rows g are
-    U[g, g] V[g].
+def _product(u: UnitaryOp | FourierUnitary, v: np.ndarray) -> np.ndarray:
+    """U V for a d x r V: by FFT for a FourierUnitary, with the rows past
+    its phases copied through; else one group g of `u.groups` at a time
+    when that pays: rows g are U[g, g] V[g].
 
     Row i of the dense product sums U[i, j] V[j] over every j, and the
     terms outside i's group are exact zeros, so this skips only zeros.
@@ -103,6 +145,11 @@ def _product(u: UnitaryOp, v: np.ndarray) -> np.ndarray:
     which beat gathering it in 10 of 10 condensed-chain pairs (README,
     Conventions); any other group is gathered.
     """
+    if isinstance(u, FourierUnitary):
+        n = u.phases.size
+        out = v.astype(complex)
+        out[:n] = np.fft.ifft(u.phases[:, None] * np.fft.fft(v[:n], axis=0), axis=0)
+        return out
     a, groups = u.matrix, u.groups
     if groups is None or not _grouped_pays(groups, *v.shape):
         return a @ v
@@ -116,12 +163,13 @@ def _product(u: UnitaryOp, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def evolve(rho: InfoOperator, u: UnitaryOp) -> InfoOperator:
+def evolve(rho: InfoOperator, u: UnitaryOp | FourierUnitary) -> InfoOperator:
     """U rho U^dag, validated as the spectral form (w, U V) of rho's (w, V).
 
     No eigensolver runs: the eigenvalues carry over and the eigenvectors
-    rotate, O(d^2 r) for a rank-r spectrum, or O(sum_g |g|^2 r) when U
-    has decoupled `groups`.  When U and V both carry an
+    rotate, O(d^2 r) for a rank-r spectrum, O(sum_g |g|^2 r) when U
+    has decoupled `groups`, O(d log d r) for a FourierUnitary.  When a
+    UnitaryOp U and V both carry an
     isometry-defect bound, that of U V is carried from them
     (`linalg.product_defect_bound`), with no Gram product; otherwise, or
     when that bound cannot settle UNITARITY_TOL, the dense check on U V
@@ -132,7 +180,8 @@ def evolve(rho: InfoOperator, u: UnitaryOp) -> InfoOperator:
         raise DimensionMismatch(f"operator dim {rho.dim} != unitary dim {u.dim}")
     w, v = rho.spectrum
     bound = None
-    if u.defect is not None and rho.isometry_defect is not None:
+    if (isinstance(u, UnitaryOp) and u.defect is not None
+            and rho.isometry_defect is not None):
         bound = linalg.product_defect_bound(u.defect, rho.isometry_defect, *v.shape)
     return validate(linalg.HermEigen(w, _product(u, v)), bound)
 

@@ -241,28 +241,6 @@ def product_defect_bound(du: float, dv: float, d: int, r: int) -> float:
             + 2 * math.sqrt((1 + du) * (1 + dv)) * eps + eps * eps)
 
 
-def circulant_defect_bound(column: np.ndarray) -> float:
-    """Bound on the exact ||C^dag C - I||_F of the circulant with first
-    column `column`, in O(n log n).
-
-    C is normal with eigenvalues lam = DFT(column), so its defect is
-    ||(|lam_k|^2 - 1)_k|| (Gray, Toeplitz and Circulant Matrices: A Review,
-    2006).  The computed DFT is off by at most rho ||lam||, rho =
-    3 log2(n) (u + gamma_4 (sqrt(2) + u)): Higham (2002, Theorem 24.2) for
-    radix 2, tripled for mixed radices and Bluestein's three transforms.
-    """
-    n = column.size
-    mod = np.abs(np.fft.fft(column))
-    norm = float(np.linalg.norm(mod))
-    rho = (3 * max(1, math.ceil(math.log2(n)))
-           * (UNIT_ROUNDOFF + _gamma(4) * (math.sqrt(2) + UNIT_ROUNDOFF)))
-    err = rho * norm / (1 - rho) + _gamma(3) * norm  # || |lam| - mod ||
-    top = float(mod.max()) + err
-    measured = float(np.linalg.norm(mod * mod - 1))
-    return (measured * (1 + _gamma(n + 2)) + math.sqrt(n) * _gamma(3) * top ** 2
-            + 2 * err * top)
-
-
 def checked_isometry(v: np.ndarray, bound: float | None = None,
                      name: str = "isometry") -> float:
     """A bound on the exact ||V^dag V - I||_F of `v`, checked to UNITARITY_TOL.

@@ -448,28 +448,20 @@ TWO_SLIT_DEFAULT_STEPS = 40
 TWO_SLIT_DEFAULT_SLITS = ((40, 44), (84, 88))
 
 
-def _ring_propagator(grid_n: int, t: float) -> dynamics.UnitaryOp:
+def _ring_propagator(grid_n: int, t: float) -> dynamics.FourierUnitary:
     """exp(-i t H / hbar) for nearest-neighbour hopping on the periodic grid.
 
     H is circulant, so the DFT diagonalizes it with eigenvalues
-    -2 cos(2 pi k / n): the propagator is the circulant whose first column
-    is the inverse DFT of the phases, O(n^2) with no eigensolver, and its
-    unitarity defect is read from the DFT of that column.  Row i of the
-    circulant, column[(i - j) % n] over j, is the window of the reversed
-    column, doubled, that starts at n - 1 - i.  The absorbed flag
-    dimension is decoupled and stays fixed.
+    -2 cos(2 pi k / n), and the propagator is held as their phases, with
+    no eigensolver and no n x n array.  The energies are computed from
+    min(k, n - k), so that phases k and n - k are equal bit for bit, as
+    the mirror symmetry of the ring needs at any t / hbar.  The absorbed
+    flag dimension is decoupled and stays fixed.
     """
     k = np.arange(grid_n)
-    energies = -2.0 * np.cos(2 * np.pi * k / grid_n)
-    column = np.fft.ifft(np.exp(-1j * t * energies / get_hbar()))
-    reversed_column = column[::-1]
-    windows = np.lib.stride_tricks.sliding_window_view(
-        np.concatenate([reversed_column, reversed_column[:-1]]), grid_n)
-    u = np.zeros((grid_n + 1, grid_n + 1), dtype=complex)
-    u[:grid_n, :grid_n] = windows[::-1]
-    u[grid_n, grid_n] = 1.0
-    u.setflags(write=False)  # handed over to `unitary` without a copy
-    return dynamics.unitary(u, known_defect=linalg.circulant_defect_bound(column))
+    energies = -2.0 * np.cos(2 * np.pi * np.minimum(k, grid_n - k) / grid_n)
+    return dynamics.fourier_unitary(np.exp(-1j * t * energies / get_hbar()),
+                                    grid_n + 1)
 
 
 def _front_reached(grid_n: int, a: int, b: int, reach: float) -> np.ndarray:
@@ -521,8 +513,8 @@ def two_slit(grid_n: int = 128, p_pass=None,
     same passage does not.  The continuity of the passed component across
     the screen is a modeling assumption, not a derived property.
     """
-    # the grid plus the absorbed flag dimension must fit under DIM_CAP; checked
-    # before the dense (grid_n + 1)^2 propagator is allocated
+    # the grid plus the absorbed flag dimension must fit under DIM_CAP, the
+    # cap on every operator's dimension
     if not 16 <= grid_n < DIM_CAP:
         raise BadSlitGeometry(f"grid_n must be in [16, {DIM_CAP - 1}], got {grid_n}")
     slits = [(int(a), int(b)) for a, b in slit_positions]
@@ -578,9 +570,13 @@ def two_slit(grid_n: int = 128, p_pass=None,
 
     u = _ring_propagator(grid_n, steps * TWO_SLIT_DT)
 
+    def propagated(x):
+        """U x, through the FFT that evolve uses."""
+        return dynamics._product(u, x[:, None])[:, 0]
+
     # coherent route: propagate the passed information vector
     v_b = ivec.gauge_fix(psi_pass)
-    out_b = u.matrix @ v_b.amplitudes
+    out_b = propagated(v_b.amplitudes)
     intensity_a = np.abs(out_b[:grid_n]) ** 2
     # ||rho - |out_b><out_b| ||_F from vectors: the top eigenpair against
     # out_b plus the norm of the rest of the spectrum bounds it, and equals
@@ -600,7 +596,7 @@ def two_slit(grid_n: int = 128, p_pass=None,
         slit_vectors.append(psi_s / math.sqrt(w))
     total_w = sum(weights)
     intensity_b = sum(
-        (w / total_w) * np.abs((u.matrix @ v)[:grid_n]) ** 2
+        (w / total_w) * np.abs(propagated(v)[:grid_n]) ** 2
         for w, v in zip(weights, slit_vectors))
 
     ck.residual("normalization", max(abs(intensity_a.sum() - 1.0),
@@ -643,7 +639,7 @@ def two_slit(grid_n: int = 128, p_pass=None,
     psi_one[a0:b0] = 1.0
     psi_one /= np.linalg.norm(psi_one)
     one_operator = dynamics.evolve(pure_iop(psi_one), u).diagonal()[:grid_n]
-    one_vector = np.abs((u.matrix @ psi_one)[:grid_n]) ** 2
+    one_vector = np.abs(propagated(psi_one)[:grid_n]) ** 2
     ck.residual("one_slit_control",
                 float(np.max(np.abs(one_operator - one_vector))))
 

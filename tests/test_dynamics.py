@@ -13,12 +13,19 @@ from iopsim.dynamics import (
     HamiltonianOp,
     UnitaryOp,
     evolve,
+    fourier_unitary,
     hamiltonian,
     motion_residual,
     propagator,
     unitary,
 )
-from iopsim.errors import InsufficientPoints, IopsimError, NotUnitary
+from iopsim.errors import (
+    DimensionMismatch,
+    InsufficientPoints,
+    IopsimError,
+    NotFinite,
+    NotUnitary,
+)
 from iopsim.iop import entropy, is_pure, max_iop, pure_iop, validate
 from iopsim.scenarios import _ring_propagator
 
@@ -149,6 +156,71 @@ class TestUnitaryCheck:
         assert linalg.unitarity_defect(ops[0].matrix) <= ops[0].defect
 
 
+def _random_phases(rng, n):
+    return np.exp(2j * np.pi * rng.uniform(size=n))
+
+
+class TestFourierUnitary:
+    """F^-1 diag(phases) F on the first n indices, the identity on the rest."""
+
+    @pytest.mark.parametrize("phases, dim, error, match", [
+        ([1.0, np.nan, 1.0], 3, NotFinite, "NaN or Inf"),
+        ([1.0, 1j, np.inf], 4, NotFinite, "NaN or Inf"),
+        (np.ones(5), 4, DimensionMismatch, r"shape \(5,\) for dim 4"),
+        (np.ones((2, 2)), 4, DimensionMismatch, r"shape \(2, 2\)"),
+        # |lam|^2 - 1 = 2e-9 at one phase, twice the tolerance
+        ([1.0, 1.0 + 1e-9, 1j], 3, NotUnitary, "unitarity defect 2.0"),
+        ([0.0, 1.0], 2, NotUnitary, "unitarity defect 1.0"),
+    ], ids=["nan", "inf", "more-phases-than-dim", "not-a-vector",
+            "off-the-circle", "zero-phase"])
+    def test_bad_phases_are_typed(self, phases, dim, error, match):
+        with pytest.raises(error, match=match):
+            fourier_unitary(phases, dim)
+        assert issubclass(error, IopsimError)
+
+    def test_defect_within_the_tolerance_is_accepted(self):
+        # |lam|^2 - 1 = 2e-10 at one phase
+        u = fourier_unitary([1.0, 1.0 + 1e-10, -1.0], 4)
+        assert linalg.unitarity_defect(u.matrix) <= linalg.UNITARITY_TOL
+
+    @pytest.mark.parametrize("n, d", [(16, 16), (16, 17), (15, 19), (1, 3)])
+    def test_product_matches_its_matrix(self, rng, n, d):
+        # the FFT product against the dense form, which is built only on
+        # first read; the rows past the phases are copied through
+        u = fourier_unitary(_random_phases(rng, n), d)
+        v = random_unitary(rng, d).matrix[:, :3]
+        out = dynamics._product(u, v)
+        assert "matrix" not in vars(u)
+        assert np.max(np.abs(out - u.matrix @ v)) <= 1e-14
+        assert np.array_equal(out[n:], v[n:])
+        assert not u.matrix.flags.writeable
+        assert linalg.unitarity_defect(u.matrix) <= 1e-13
+
+    def test_evolve_measures_the_product(self, rng, monkeypatch):
+        # no bound is carried for the FFT's rounding: validate measures
+        # the d x r Gram of U V, and the bound it keeps covers it
+        u = fourier_unitary(_random_phases(rng, 32), 33)
+        rho = _spectral_iop(rng, 33, 2)
+        assert rho.isometry_defect is not None
+        shapes = []
+
+        def counted(v, _defect=linalg.unitarity_defect):
+            shapes.append(v.shape)
+            return _defect(v)
+
+        monkeypatch.setattr(linalg, "unitarity_defect", counted)
+        out = evolve(rho, u)
+        assert shapes == [(33, 2)]
+        assert out.isometry_defect >= counted(out.spectrum.eigenvectors)
+        assert "matrix" not in vars(u)
+
+    def test_caller_array_stays_writable(self):
+        phases = np.ones(3, dtype=complex)
+        u = fourier_unitary(phases, 3)
+        phases[0] = 5
+        assert u.phases[0] == 1 and not u.phases.flags.writeable
+
+
 def _spectral_iop(rng, d, rank):
     """A rank-`rank` operator validated from a spectral form."""
     q, _ = np.linalg.qr(rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank)))
@@ -217,10 +289,6 @@ class TestCarriedIsometryBound:
     def test_unitary_records_its_defect(self, rng):
         u = random_unitary(rng, 8)
         assert u.defect >= linalg.unitarity_defect(u.matrix)
-        assert unitary(np.eye(3), known_defect=0.0).defect == 0.0
-        # a claimed bound above the tolerance is checked densely
-        with pytest.raises(NotUnitary, match="unitarity defect"):
-            unitary(np.diag([1.0, 2.0]), known_defect=1.0)
 
 
 def test_only_proven_bounds_are_carried(rng):
@@ -278,10 +346,7 @@ class TestBlockwiseEvolve:
         (lambda rng: unitary(_givens_layers(3, [0, 1])), None),
         # a pentadiagonal band: one chain through all 64 indices
         (lambda rng: unitary(_givens_layers(64, [0, 1])), None),
-        # a proven bound skips the pattern
-        (lambda rng: _ring_propagator(16, 3.0), None),
-    ], ids=["blocks-8x16", "merged", "lifted", "cat-swap", "one-zero", "banded",
-            "ring"])
+    ], ids=["blocks-8x16", "merged", "lifted", "cat-swap", "one-zero", "banded"])
     def test_equals_the_dense_product(self, rng, monkeypatch, build, groups):
         # with no cost per group, every partition found is used, at any d
         monkeypatch.setattr(dynamics, "GROUP_COST", 0)

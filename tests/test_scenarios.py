@@ -14,6 +14,7 @@ from iopsim.measurement import completeness_defect
 from iopsim.scenarios import (
     INTERFERENCE_FLOOR,
     SCENARIOS,
+    TWO_SLIT_DEFAULT_SLITS,
     cat,
     spin_one_example,
     stern_gerlach,
@@ -21,6 +22,8 @@ from iopsim.scenarios import (
     two_slit,
 )
 from iopsim.serialize import dumps
+
+from conftest import random_iop, random_pure
 
 
 class TestSternGerlach:
@@ -261,22 +264,39 @@ class TestTwoSlit:
                     if c.description.startswith("interference_term"))
         assert "vacuous" in term.description
 
-    @given(geometry=slit_geometries(), steps=st.integers(1, 60),
-           p_pass=st.none() | st.floats(0.0, 1.0, exclude_min=True))
-    @example(geometry=(16, ((0, 16),)), steps=1, p_pass=None)  # all open
-    @example(geometry=(64, ((0, 1), (63, 64))), steps=60, p_pass=1.0)
-    @example(geometry=(17, ((3, 4), (6, 7))), steps=2, p_pass=None)
-    @example(geometry=(16, ((3, 5),)), steps=1, p_pass=ZERO_WEIGHT_FLOOR)
+    @given(geometry=slit_geometries(),
+           steps=st.integers(1, 60) | st.integers(1, 10**9),
+           p_pass=st.none() | st.floats(0.0, 1.0, exclude_min=True),
+           hbar_value=st.floats(-12.0, 3.0).map(lambda e: 10.0 ** e))
+    @example(geometry=(16, ((0, 16),)), steps=1, p_pass=None,  # all open
+             hbar_value=1.0)
+    @example(geometry=(64, ((0, 1), (63, 64))), steps=60, p_pass=1.0,
+             hbar_value=1.0)
+    @example(geometry=(17, ((3, 4), (6, 7))), steps=2, p_pass=None,
+             hbar_value=1.0)
+    @example(geometry=(16, ((3, 5),)), steps=1, p_pass=ZERO_WEIGHT_FLOOR,
+             hbar_value=1.0)
+    # mirror-symmetric slits at large t / hbar: energies k and n - k that
+    # differ by an ulp broke the symmetry check
+    @example(geometry=(128, TWO_SLIT_DEFAULT_SLITS), steps=10**9, p_pass=None,
+             hbar_value=1.0)
+    @example(geometry=(512, ((160, 176), (336, 352))), steps=40, p_pass=None,
+             hbar_value=1e-12)
+    @example(geometry=(54, ((22, 27), (27, 32))), steps=640, p_pass=None,
+             hbar_value=2.2e-6)
     @settings(max_examples=150, deadline=None)
-    def test_every_check_passes_across_geometry(self, geometry, steps, p_pass):
+    def test_every_check_passes_across_geometry(self, geometry, steps, p_pass,
+                                                hbar_value):
         # a zero-width slit or a prior at or below the zero-weight floor
-        # is rejected up front; every other input passes every check
+        # is rejected up front; every other input passes every check, at
+        # any hbar and for up to 10^9 steps
         grid_n, slits = geometry
         invalid = (any(a == b for a, b in slits)
                    or p_pass is not None and p_pass <= ZERO_WEIGHT_FLOOR)
         try:
-            report = two_slit(grid_n=grid_n, p_pass=p_pass,
-                              slit_positions=slits, steps=steps)
+            with config.hbar(hbar_value):
+                report = two_slit(grid_n=grid_n, p_pass=p_pass,
+                                  slit_positions=slits, steps=steps)
         except (BadSlitGeometry, BadParameter):
             assert invalid
             return
@@ -364,6 +384,22 @@ class TestRingPropagator:
                               column[(k[:, None] - k) % grid_n])
         assert u[grid_n, grid_n] == 1.0
         assert not u[grid_n, :grid_n].any() and not u[:grid_n, grid_n].any()
+
+    @pytest.mark.parametrize("grid_n", [16, 17, 128, 513])
+    @pytest.mark.parametrize("hbar", [1.0, 2.5])
+    @pytest.mark.parametrize("t", [20.0, -7.5], ids=["forward", "reverse"])
+    def test_evolve_matches_the_dense_route(self, grid_n, hbar, t):
+        # evolve applies the propagator by FFT; the oracle multiplies by
+        # exp(-i t H / hbar) from the dense eigensolver
+        rng = np.random.default_rng(grid_n)
+        with config.hbar(hbar):
+            fast = scenarios._ring_propagator(grid_n, t)
+            dense = dense_ring_propagator(grid_n, t)
+        for rho in (random_iop(rng, grid_n + 1), random_pure(rng, grid_n + 1)):
+            a = dynamics.evolve(rho, fast).spectrum.eigenvectors
+            b = dynamics.evolve(rho, dense).spectrum.eigenvectors
+            assert np.max(np.abs(a - b)) <= 1e-12
+        assert "matrix" not in vars(fast)
 
     @pytest.mark.parametrize("kwargs", [
         {},

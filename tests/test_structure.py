@@ -174,10 +174,13 @@ def test_two_slit_builds_no_screen_stack(monkeypatch):
     (512, ((160, 176), (336, 352))),
     (2048, ((640, 704), (1344, 1408))),
 ], ids=["512", "2048"])
-def test_two_slit_peaks_at_two_matrices_above_entry(grid_n, slits):
-    # the ring propagator is the only d x d array two_slit builds; the
-    # second is room for temporaries
-    matrix_bytes = (grid_n + 1) ** 2 * np.dtype(complex).itemsize
+def test_two_slit_peaks_at_64_vectors_above_entry(grid_n, slits):
+    # no d x d array: the ring propagator is applied by FFT, so the peak
+    # is a few dozen length-d vectors (about 27 at grids 512 to 4095);
+    # one warm-up call first, so that caches numpy fills once are not
+    # counted
+    vector_bytes = (grid_n + 1) * np.dtype(complex).itemsize
+    two_slit(grid_n=grid_n, slit_positions=slits, steps=160)
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
@@ -186,7 +189,7 @@ def test_two_slit_peaks_at_two_matrices_above_entry(grid_n, slits):
     finally:
         tracemalloc.stop()
     assert report.all_pass()
-    assert (peak - entry) / matrix_bytes <= 2
+    assert (peak - entry) / vector_bytes <= 64
 
 
 def test_routed_completeness_builds_no_square_array():
