@@ -13,7 +13,6 @@ operator and unitary are rotated into a basis adapted to them.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -100,28 +99,6 @@ def label_probabilities(rho: InfoOperator, c: CondensationStructure):
     return [(m, float(p)) for m, p in zip(c.labels, sums)]
 
 
-def _union_spectrum(blocks, groups, dim: int) -> InfoOperator:
-    """The validated union of the spectra of the Hermitian `blocks`, the
-    eigenvectors of the block of group g scattered onto rows g.
-
-    Columns of different groups have disjoint rows, so the union's Gram
-    is block diagonal, exactly: the root sum of squares of the bounds
-    that each block's own r x r Gram gives is a bound on its defect, and
-    no d-row Gram is formed.
-    """
-    spectra = [linalg.eigh(a) for a in blocks]
-    w = np.concatenate([e.eigenvalues for e in spectra])
-    order = np.argsort(w, kind="stable")
-    column = np.empty_like(order)
-    column[order] = np.arange(order.size)
-    v = np.zeros((dim, w.size), dtype=complex)
-    starts = np.cumsum([len(g) for g in groups])[:-1]
-    for g, cols, (_, q) in zip(groups, np.split(column, starts), spectra):
-        v[np.ix_(g, cols)] = q
-    bound = math.sqrt(sum(linalg.checked_isometry(q) ** 2 for _, q in spectra))
-    return validate(linalg.HermEigen(w[order], v), bound)
-
-
 def condition_on_label(rho: InfoOperator, c: CondensationStructure, m) -> InfoOperator:
     """P^m rho P^m, renormalized: the description after learning the label.
 
@@ -136,7 +113,7 @@ def condition_on_label(rho: InfoOperator, c: CondensationStructure, m) -> InfoOp
     weight, block = condition(rho.matrix[np.ix_(g, g)])
     if block is None:
         raise ZeroProbabilityLabel(f"label {m!r} has weight {weight:.3e}")
-    return _union_spectrum([block], [g], c.dim)
+    return validate(*linalg.grouped_eigh([block], [g], c.dim))
 
 
 def block_projected(rho: InfoOperator, c: CondensationStructure) -> InfoOperator:
@@ -146,7 +123,8 @@ def block_projected(rho: InfoOperator, c: CondensationStructure) -> InfoOperator
     """
     _check_dims(rho, c)
     groups = [list(g) for g in c.blocks]
-    return _union_spectrum([rho.matrix[np.ix_(g, g)] for g in groups], groups, c.dim)
+    return validate(*linalg.grouped_eigh(
+        [rho.matrix[np.ix_(g, g)] for g in groups], groups, c.dim))
 
 
 def is_condensed_form(rho: InfoOperator, c: CondensationStructure) -> bool:

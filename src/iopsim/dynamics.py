@@ -19,10 +19,6 @@ from .iop import InfoOperator, validate
 
 TIME_SPACING_RTOL = 1e-9  # np.allclose bounds on uneven trajectory time steps
 TIME_SPACING_ATOL = 1e-12
-# what one group's products cost in numpy call overhead beyond their
-# arithmetic, in complex multiply-adds: fit to U V timed per group and
-# dense for d = 32-256 and groups of 1-128 indices (README, Conventions)
-GROUP_COST = 100_000
 
 
 @dataclass(frozen=True)
@@ -40,18 +36,19 @@ class UnitaryOp:
 
     `defect` bounds its exact ||U^dag U - I||_F when `unitary` proved one,
     and is None otherwise.  `groups` holds the index groups U never
-    couples, when `unitary` found more than one and rotating them one by
-    one pays (`_grouped_pays`): each a sorted index array, with
-    U[i, j] == 0 exactly for i and j in different groups, the finest
-    partition U leaves exactly decoupled (`linalg.index_groups`).  Only
-    `unitary` sets either, so a UnitaryOp built or `replace`d any other
-    way holds None for both, and `evolve` checks U V and forms it densely.
+    couples when they pay (`linalg.paying_groups`): each a sorted index
+    array, with U[i, j] == 0 exactly for i and j in different groups, the
+    finest partition U leaves exactly decoupled (`linalg.index_groups`);
+    `blocks` stacks their blocks when they are contiguous and of one size.
+    Only `unitary` sets these, so a UnitaryOp built or `replace`d any
+    other way holds None for each, and `evolve` checks U V densely.
     """
 
     dim: int
     matrix: np.ndarray
     defect: float | None = field(default=None, init=False)
     groups: tuple | None = field(default=None, init=False)
+    blocks: np.ndarray | None = field(default=None, init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", linalg.frozen(self.matrix))
@@ -93,18 +90,21 @@ def hamiltonian(m) -> HamiltonianOp:
 def unitary(m) -> UnitaryOp:
     """`m` checked unitary to UNITARITY_TOL (NotUnitary otherwise).
 
-    The check's bound is kept as `defect`.  Once d^3 exceeds two groups'
-    GROUP_COST, U's zero pattern is read for its `groups` too, O(d^2)
-    beside the check's O(d^3); below that no partition can pay.
+    The check's bound is kept as `defect`.  When `linalg.paying_groups`
+    finds `groups`, the check forms only their blocks' Grams, exactly
+    those of U^dag U: O(sum_g |g|^3) in place of O(d^3).
     """
     a = linalg.as_cmatrix(linalg.frozen(m, dtype=complex))
     d = linalg.require_square(a)
     u = UnitaryOp(dim=d, matrix=a)
-    object.__setattr__(u, "defect", linalg.checked_isometry(a, name="unitarity"))
-    if d ** 3 > 2 * GROUP_COST:
-        groups = linalg.index_groups(a)
-        if groups is not None and _grouped_pays(groups, d, d):
-            object.__setattr__(u, "groups", groups)
+    groups = linalg.paying_groups(a)
+    object.__setattr__(u, "groups", groups)
+    blocks = groups and [a[np.ix_(g, g)] for g in groups]
+    if groups and all(g.size == d // len(groups) and g[-1] - g[0] == g.size - 1
+                      for g in groups):
+        object.__setattr__(u, "blocks", linalg.frozen(np.stack(blocks)))
+    object.__setattr__(u, "defect", linalg.checked_isometry(
+        a, name="unitarity", blocks=blocks))
     return u
 
 
@@ -127,39 +127,36 @@ def fourier_unitary(phases, dim: int) -> FourierUnitary:
     return FourierUnitary(dim=dim, phases=lam)
 
 
-def _grouped_pays(groups, d: int, r: int) -> bool:
-    """Whether U V for a d x r V costs less one group at a time: the dense
-    product's d^2 r multiply-adds against sum_g |g|^2 r and a GROUP_COST
-    per group."""
-    return len(groups) * GROUP_COST < (d * d - sum(g.size ** 2 for g in groups)) * r
-
-
 def _product(u: UnitaryOp | FourierUnitary, v: np.ndarray) -> np.ndarray:
-    """U V for a d x r V: by FFT for a FourierUnitary, with the rows past
-    its phases copied through; else one group g of `u.groups` at a time
-    when that pays: rows g are U[g, g] V[g].
+    """U V for a d x r V, fresh and read-only: by FFT for a FourierUnitary,
+    with the rows past its phases copied through; else one group g of
+    `u.groups` at a time when that pays: rows g are U[g, g] V[g].
 
     Row i of the dense product sums U[i, j] V[j] over every j, and the
     terms outside i's group are exact zeros, so this skips only zeros.
-    A contiguous group is multiplied as views, straight into the result,
-    which beat gathering it in 10 of 10 condensed-chain pairs (README,
-    Conventions); any other group is gathered.
+    Stacked `blocks` take one matmul; else a contiguous group is taken as
+    views, straight into the result (README, Conventions), and any other
+    group is gathered.
     """
     if isinstance(u, FourierUnitary):
         n = u.phases.size
         out = v.astype(complex)
         out[:n] = np.fft.ifft(u.phases[:, None] * np.fft.fft(v[:n], axis=0), axis=0)
-        return out
-    a, groups = u.matrix, u.groups
-    if groups is None or not _grouped_pays(groups, *v.shape):
-        return a @ v
-    out = np.empty(v.shape, dtype=complex)
-    for g in groups:
-        if g[-1] - g[0] == g.size - 1:
-            g = slice(g[0], g[-1] + 1)
-            np.matmul(a[g, g], v[g], out=out[g])
-        else:
-            out[g] = a.take(g, axis=0).take(g, axis=1) @ v.take(g, axis=0)
+    elif u.groups is None or not linalg._grouped_pays(u.groups, *v.shape):
+        out = u.matrix @ v
+    elif u.blocks is not None:
+        out = np.empty(v.shape, dtype=complex)
+        k, s, _ = u.blocks.shape
+        np.matmul(u.blocks, v.reshape(k, s, -1), out=out.reshape(k, s, -1))
+    else:
+        a, out = u.matrix, np.empty(v.shape, dtype=complex)
+        for g in u.groups:
+            if g[-1] - g[0] == g.size - 1:
+                g = slice(g[0], g[-1] + 1)
+                np.matmul(a[g, g], v[g], out=out[g])
+            else:
+                out[g] = a.take(g, axis=0).take(g, axis=1) @ v.take(g, axis=0)
+    out.setflags(write=False)
     return out
 
 
@@ -169,12 +166,11 @@ def evolve(rho: InfoOperator, u: UnitaryOp | FourierUnitary) -> InfoOperator:
     No eigensolver runs: the eigenvalues carry over and the eigenvectors
     rotate, O(d^2 r) for a rank-r spectrum, O(sum_g |g|^2 r) when U
     has decoupled `groups`, O(d log d r) for a FourierUnitary.  When a
-    UnitaryOp U and V both carry an
-    isometry-defect bound, that of U V is carried from them
-    (`linalg.product_defect_bound`), with no Gram product; otherwise, or
-    when that bound cannot settle UNITARITY_TOL, the dense check on U V
-    runs, so it still catches a UnitaryOp that is not unitary, step for
-    step as a check at every step would.
+    UnitaryOp U and V both carry an isometry-defect bound, that of U V
+    is carried from them (`linalg.product_defect_bound`), with no Gram
+    product; otherwise, or when that bound cannot settle UNITARITY_TOL,
+    the dense check on U V runs, so it still catches a UnitaryOp that is
+    not unitary, step for step as a check at every step would.
     """
     if rho.dim != u.dim:
         raise DimensionMismatch(f"operator dim {rho.dim} != unitary dim {u.dim}")

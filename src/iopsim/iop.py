@@ -44,21 +44,24 @@ class InfoOperator:
     `_from_spectrum(w, V)` built on first read.
     `isometry_defect` bounds the exact ||V^dag V - I||_F of the
     spectrum's V when the constructor proved one (`validate` of a
-    spectral form, `max_iop`), and is None otherwise.
+    spectral form or by groups, `max_iop`), and is None otherwise.
     """
 
     dim: int
     spectrum: linalg.HermEigen
     known_matrix: InitVar[np.ndarray | None] = None
     isometry_defect: float | None = None
+    known_diagonal: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self, known_matrix):
+    def __post_init__(self, known_matrix, known_diagonal):
         # every array is taken through `linalg.frozen`, so a later write
         # to a caller's array cannot reach what was checked
         object.__setattr__(self, "spectrum", linalg.HermEigen(
             *(linalg.frozen(a) for a in self.spectrum)))
         if known_matrix is not None:
             self.__dict__["matrix"] = linalg.frozen(known_matrix)
+        if known_diagonal is not None:
+            self.__dict__["_diagonal"] = linalg.frozen(known_diagonal)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -66,38 +69,30 @@ class InfoOperator:
         a.setflags(write=False)
         return a
 
-    def diagonal(self) -> np.ndarray:
-        """The real diagonal of `matrix`, read from the spectrum: |V|^2 w."""
+    @cached_property
+    def _diagonal(self) -> np.ndarray:
         w, v = self.spectrum
-        return (v.real ** 2 + v.imag ** 2) @ w
+        return linalg.frozen((v.real ** 2 + v.imag ** 2) @ w)
+
+    def diagonal(self) -> np.ndarray:
+        """|V|^2 w, the real diagonal of `matrix`, formed once (`validate`
+        of a spectral form hands over the one it formed)."""
+        return self._diagonal
 
 
 @dataclass(frozen=True)
 class Contraction:
-    """A contracting operator K = q diag(s) w^dag: K rho K^dag shrinks rho.
-
+    """A contracting operator K = q diag(s) w^dag: K rho K^dag shrinks rho;
     `q` (target x n) has orthonormal columns, `s` holds n scales and `w`
-    is source x n.  The dense `k` is built on first read; a dense K
-    enters through `from_matrix`.
-    """
+    is source x n."""
 
     q: np.ndarray
     s: np.ndarray
     w: np.ndarray
 
-    @classmethod
-    def from_matrix(cls, k) -> Contraction:
-        """A dense K (target x source) as q = I, s = 1, w = K^dag."""
-        k = linalg.as_cmatrix(k)
-        return cls(q=np.eye(k.shape[0]), s=np.ones(k.shape[0]), w=k.conj().T)
-
     @property
     def source_dim(self) -> int:
         return self.w.shape[0]
-
-    @cached_property
-    def k(self) -> np.ndarray:
-        return (self.q * self.s) @ self.w.conj().T
 
 
 def validate(m, known_defect=None) -> InfoOperator:
@@ -112,29 +107,43 @@ def validate(m, known_defect=None) -> InfoOperator:
     spectral form needs no eigensolver: its eigenvectors are checked to be
     orthonormal.  `known_defect`, a bound on their ||V^dag V - I||_F that
     the caller proved (`dynamics.evolve` carries one), spares the dense
-    isometry check unless it cannot settle UNITARITY_TOL.
+    isometry check unless it cannot settle UNITARITY_TOL.  A matrix's
+    `linalg.paying_groups` are diagonalized one by one, with a bound.
     """
-    defect = None
+    defect = moduli = diagonal = None
     if isinstance(m, linalg.HermEigen):
-        (w, v), defect = linalg.checked_spectrum(m, known_defect)
+        (w, v), defect, moduli = linalg.checked_spectrum(m, known_defect)
         a = None
     else:
         a = linalg.hermitian(m)
         a = (a + a.conj().T) / 2
-        w, v = linalg.eigh(a)
+        groups = linalg.paying_groups(a)
+        if groups is not None:
+            (w, v), defect = linalg.grouped_eigh(
+                [a[np.ix_(g, g)] for g in groups], groups, len(a))
+        else:
+            w, v = linalg.eigh(a)
     if w[0] < -POSITIVITY_TOL:
         raise NotPositive(f"minimum eigenvalue {w[0]:.3e}")
     if w[0] < 0:
         w, a = np.clip(w, 0.0, None), None
-    tr = float((np.vdot(v * w, v) if a is None else np.trace(a)).real)
+    if a is None:  # the trace sum_i w_i |v_i|^2, summed over |V|^2 w
+        diagonal = (v.real ** 2 + v.imag ** 2 if moduli is None else moduli) @ w
+    tr = float(diagonal.sum() if a is None else np.trace(a).real)
     if abs(tr - 1.0) > TRACE_TOL:
         raise TraceNotOne(f"trace {tr!r} differs from 1 by {abs(tr - 1.0):.3e}")
     return InfoOperator(dim=v.shape[0], spectrum=linalg.HermEigen(w, v),
-                        known_matrix=a, isometry_defect=defect)
+                        known_matrix=a, isometry_defect=defect,
+                        known_diagonal=diagonal)
 
 
 def _from_spectrum(w, v) -> np.ndarray:
-    """(V w) V^dag, symmetrized so that it is exactly Hermitian."""
+    """(V w) V^dag, symmetrized so that it is exactly Hermitian; formed on
+    the rows where V is nonzero when that scan pays (the rest are zeros)."""
+    if v.size * len(v) > linalg.GROUP_COST and not (rows := v.any(axis=1)).all():
+        a = np.zeros((len(v), len(v)), dtype=complex)
+        a[np.ix_(rows, rows)] = _from_spectrum(w, v[rows])
+        return a
     a = (v * w) @ v.conj().T
     # in place on the fresh product: (a + a^dag) / 2 bit for bit, one
     # d x d temporary fewer
@@ -240,7 +249,10 @@ def contraction_from_mixture(whole: InfoOperator, part: InfoOperator) -> Contrac
     sup = wv[:, ww > ZERO_WEIGHT_FLOOR]
     checked = np.flatnonzero(pw > ZERO_WEIGHT_FLOOR)
     vecs = pv[:, checked] * np.sqrt(pw[checked])
-    residuals = np.linalg.norm(vecs - sup @ (sup.conj().T @ vecs), axis=0)
+    # sup^dag vecs over the rows where vecs is nonzero, when that scan
+    # pays: every other term is exactly zero
+    rows = vecs.any(axis=1) if sup.size * len(checked) > linalg.GROUP_COST else slice(None)
+    residuals = np.linalg.norm(vecs - sup @ (sup[rows].conj().T @ vecs[rows]), axis=0)
     outside = np.flatnonzero(residuals > SUPPORT_RESIDUAL_TOL)
     if outside.size:
         j = outside[0]

@@ -26,6 +26,10 @@ from .errors import (
 HERMITICITY_TOL = 1e-10
 UNITARITY_TOL = 1e-9  # bound on ||V^dag V - I|| for unitaries and isometries
 UNIT_ROUNDOFF = 2.0 ** -53  # float64, round to nearest
+# what one index group's kernel calls cost in numpy call overhead beyond
+# their arithmetic, in complex multiply-adds: fit to U V timed per group
+# and dense for d = 32-256 and groups of 1-128 indices (README, Conventions)
+GROUP_COST = 100_000
 
 
 class HermEigen(NamedTuple):
@@ -101,6 +105,21 @@ def index_groups(a: np.ndarray) -> tuple | None:
     return tuple(groups)
 
 
+def _grouped_pays(groups, d: int, r: int) -> bool:
+    """Whether a kernel on a d x d matrix and a d x r V costs less one
+    index group at a time: the dense product's d^2 r multiply-adds
+    against sum_g |g|^2 r and a GROUP_COST per group."""
+    return len(groups) * GROUP_COST < (d * d - sum(g.size ** 2 for g in groups)) * r
+
+
+def paying_groups(a: np.ndarray) -> tuple | None:
+    """The `index_groups` of a square `a` if they pay for a square V, else
+    None; none can pay while d^3 <= 2 GROUP_COST, so none is read."""
+    d = len(a)
+    groups = index_groups(a) if d ** 3 > 2 * GROUP_COST else None
+    return groups if groups is not None and _grouped_pays(groups, d, d) else None
+
+
 def hermiticity_defect(a: np.ndarray) -> float:
     return float(np.linalg.norm(a - a.conj().T))
 
@@ -130,6 +149,26 @@ def eigh(a: np.ndarray) -> HermEigen:
         return HermEigen(*np.linalg.eigh(a))
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
+
+
+def grouped_eigh(blocks, groups, dim: int):
+    """(spectrum, isometry bound) of the Hermitian `blocks` on their index
+    `groups`, zero elsewhere: the union of the blocks' spectra, the
+    eigenvectors of group g's block on rows g, in the columns where its
+    eigenvalues sort (Golub and Van Loan, Matrix Computations, 2013,
+    sections 7.1 and 8.1).  Columns of different groups have disjoint
+    rows, so the root sum of squares of each block's own bound bounds the
+    union's defect: no d-row Gram is formed.
+    """
+    spectra = [eigh(a) for a in blocks]
+    w = np.concatenate([e.eigenvalues for e in spectra])
+    order = np.argsort(w, kind="stable")
+    v = np.zeros((dim, w.size), dtype=complex)
+    starts = np.cumsum([len(g) for g in groups])[:-1]
+    for g, cols, (_, q) in zip(groups, np.split(np.argsort(order), starts), spectra):
+        v[np.ix_(g, cols)] = q
+    bound = math.sqrt(sum(checked_isometry(q) ** 2 for _, q in spectra))
+    return HermEigen(w[order], v), bound
 
 
 def mat_exp_herm_generator(h, t: float) -> np.ndarray:
@@ -242,18 +281,21 @@ def product_defect_bound(du: float, dv: float, d: int, r: int) -> float:
 
 
 def checked_isometry(v: np.ndarray, bound: float | None = None,
-                     name: str = "isometry") -> float:
+                     name: str = "isometry", blocks=None) -> float:
     """A bound on the exact ||V^dag V - I||_F of `v`, checked to UNITARITY_TOL.
 
     The one isometry decision.  A proven `bound` settles it while the most
     `unitarity_defect(v)` could then return stays within UNITARITY_TOL;
     otherwise `unitarity_defect(v)` is computed and decides (NotUnitary
     above the tolerance), and the bound it implies replaces `bound`.
-    Either way the decision is that of the dense check.
+    Either way the decision is that of the dense check.  A `v` that is
+    `blocks` on index groups and zero elsewhere has its blocks' Grams on
+    them: the check measures those, of inner dimension at most n.
     """
     n, r = v.shape
     if bound is None or not measured_bound(bound, n, r) <= UNITARITY_TOL:
-        measured = unitarity_defect(v)
+        measured = (unitarity_defect(v) if blocks is None
+                    else math.hypot(*map(unitarity_defect, blocks)))
         if measured > UNITARITY_TOL:
             raise NotUnitary(f"{name} defect {measured:.3e}")
         bound = _defect_bound(measured, n, r)
@@ -261,20 +303,25 @@ def checked_isometry(v: np.ndarray, bound: float | None = None,
 
 
 def checked_spectrum(e: HermEigen, bound: float | None = None):
-    """(`e`, its isometry bound), with finite, ascending eigenvalues and
-    isometric eigenvectors.
+    """(`e`, its isometry bound, |V|^2), with finite, ascending eigenvalues
+    and isometric eigenvectors.
 
     The eigenvector columns must be orthonormal to UNITARITY_TOL
     (NotUnitary otherwise, decided by :func:`checked_isometry` from
-    `bound`), one per eigenvalue and no more than rows.
-    """
+    `bound`), one per eigenvalue and no more than rows, DIM_CAP at most.
+    V is read once, for |V|^2, whose sum is finite unless V holds a NaN or
+    Inf (or an entry the isometry check rejects)."""
     w = np.asarray(e.eigenvalues, dtype=float)
-    v = as_cmatrix(e.eigenvectors)
-    if w.ndim != 1 or w.size != v.shape[1] or w.size > v.shape[0]:
+    v = np.asarray(e.eigenvectors, dtype=complex)
+    if (w.ndim != 1 or v.ndim != 2 or w.size != v.shape[1]
+            or not w.size <= v.shape[0] <= DIM_CAP):
         raise DimensionMismatch(
             f"{np.shape(w)} eigenvalues for eigenvectors of shape {v.shape}")
+    moduli = v.real ** 2 + v.imag ** 2
+    if not math.isfinite(moduli.sum()) and not np.isfinite(v).all():
+        raise NotFinite("eigenvectors contain NaN or Inf")
     if not np.isfinite(w).all():
         raise NotFinite("eigenvalues contain NaN or Inf")
     if (w[1:] < w[:-1]).any():
         raise ValueError("eigenvalues must be in ascending order")
-    return HermEigen(w, v), checked_isometry(v, bound)
+    return HermEigen(w, v), checked_isometry(v, bound), moduli

@@ -533,6 +533,12 @@ def two_slit(grid_n: int = 128, p_pass=None,
                            f"{ZERO_WEIGHT_FLOOR:g}, 1], got {p_pass}")
     if steps < 1:
         raise BadParameter(f"steps must be positive, got {steps}")
+    try:  # the band's top phase 2 t / hbar, checked before anything is built
+        reach = 2 * steps * TWO_SLIT_DT / get_hbar()
+    except OverflowError:  # an integer step count past float range
+        reach = math.inf
+    if not math.isfinite(reach):
+        raise BadParameter(f"2 t / hbar is not finite at hbar = {get_hbar()!r}")
 
     ck = _Checks(TWO_SLIT_TOLS, tol_overrides)
     report = ScenarioReport(
@@ -615,7 +621,6 @@ def two_slit(grid_n: int = 128, p_pass=None,
     # time of flight: no wave on the ring outruns the band's top group
     # velocity, 2 sites per unit time at hbar = 1; two fronts have met
     # where they join a site by paths of even total length
-    reach = 2 * steps * TWO_SLIT_DT / get_hbar()
     reached = [_front_reached(grid_n, a, b, reach) for a, b in slits]
     term = float(np.linalg.norm(intensity_a - intensity_b))
     if len(slits) == 1:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from iopsim.iop import ZERO_WEIGHT_FLOOR
+from iopsim.iop import ZERO_WEIGHT_FLOOR, Contraction
 from iopsim.measurement import MeasurementSystem
 
 # the generators live in the library; tests import them from here
@@ -21,6 +21,18 @@ def random_hermitian(rng, d):
     """(A + A^dag) / 2 for a Ginibre matrix A; only the tests draw one."""
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return (a + a.conj().T) / 2
+
+
+def contraction_from_matrix(k):
+    """A dense K (target x source) as the factored contraction (I, 1, K^dag):
+    the dense oracle's way into `contract`."""
+    k = np.asarray(k, dtype=complex)
+    return Contraction(q=np.eye(k.shape[0]), s=np.ones(k.shape[0]), w=k.conj().T)
+
+
+def dense_k(c):
+    """The dense K = q diag(s) w^dag of a factored contraction."""
+    return (c.q * c.s) @ c.w.conj().T
 
 
 def projectors(c):

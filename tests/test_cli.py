@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +45,21 @@ class TestRun:
         assert run_cli(["run", "two-slit", *argv]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out and "all checks passed" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["--hbar", "1e-300", "--steps", "1000000000"],
+        ["--steps", "1" + "0" * 400],
+    ], ids=["hbar-1e-300", "steps-1e400"])
+    def test_two_slit_phase_past_float_range_exits_one(self, argv, capsys):
+        # 2 t / hbar overflows: rejected before any propagator is built,
+        # with no numpy warning and no traceback
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(["run", "two-slit", *argv]) == 1
+        assert caught == []
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("iopsim: error: 2 t / hbar")
+        assert "Traceback" not in err and "Warning" not in err
 
     def test_prior_below_the_zero_weight_floor_exits_zero(self, capsys):
         assert run_cli(["run", "stern-gerlach", "--p-up", "1e-13"]) == 0

@@ -19,7 +19,7 @@ from iopsim.condensation import (
     label_probabilities,
     respects_condensation,
 )
-from iopsim.dynamics import UnitaryOp, evolve
+from iopsim.dynamics import UnitaryOp, evolve, unitary
 from iopsim.errors import DimensionMismatch, ZeroProbabilityLabel
 from iopsim.iop import max_iop, pure_iop, validate
 
@@ -212,6 +212,23 @@ class TestLabelProbabilities:
         probs = dict(label_probabilities(pure_iop([1, 0, 0, 0]), structure))
         assert np.isclose(probs["+"], 1.0)
         assert np.isclose(probs["-"], 0.0)
+
+    def test_chain_reads_the_diagonal_of_its_matrix(self, rng):
+        # each evolve step keeps the diagonal |V|^2 w that validate formed;
+        # after 50 steps of a stacked 8 x 16 block unitary it still gives
+        # the group sums of the diagonal of the matrix built from the
+        # spectrum
+        c = CondensationStructure.from_index_blocks(
+            128, {b: range(16 * b, 16 * b + 16) for b in range(8)})
+        u = unitary(block_diag_unitary(rng, [16] * 8).matrix)
+        assert u.blocks is not None
+        rho = random_iop(rng, 128)
+        for _ in range(50):
+            rho = evolve(rho, u)
+        probs = np.array([p for _, p in label_probabilities(rho, c)])
+        diag = np.diag(rho.matrix).real
+        sums = np.array([diag[list(g)].sum() for g in c.blocks])
+        assert np.max(np.abs(probs - sums)) <= 1e-15
 
     def test_max_operator_sees_subspace_dims(self):
         structure = CondensationStructure.from_index_blocks(

@@ -349,7 +349,7 @@ class TestBlockwiseEvolve:
     ], ids=["blocks-8x16", "merged", "lifted", "cat-swap", "one-zero", "banded"])
     def test_equals_the_dense_product(self, rng, monkeypatch, build, groups):
         # with no cost per group, every partition found is used, at any d
-        monkeypatch.setattr(dynamics, "GROUP_COST", 0)
+        monkeypatch.setattr(linalg, "GROUP_COST", 0)
         u = build(rng)
         assert not u.matrix.all()
         assert (u.groups is None if groups is None
@@ -365,12 +365,31 @@ class TestBlockwiseEvolve:
         for groups in (BLOCKS_8X16, LIFTED_128):
             u = unitary(_block_unitary(rng, groups))
             assert [list(g) for g in u.groups] == groups
-            assert dynamics._grouped_pays(u.groups, 128, 128)
-            assert not dynamics._grouped_pays(u.groups, 128, 1)
+            assert linalg._grouped_pays(u.groups, 128, 128)
+            assert not linalg._grouped_pays(u.groups, 128, 1)
         for small in (_block_unitary(rng, LIFTED), CAT_SWAP):
             assert unitary(small).groups is None
         # 64 groups of 2 cost more than the dense product
         assert unitary(_givens_layers(128, [0])).groups is None
+
+    @pytest.mark.parametrize("factor", [0.3, 0.9, 0.99, 1.01, 1.1, 3.0])
+    def test_grouped_check_gives_the_dense_verdict(self, rng, factor):
+        # block 1 of the 8 x 16 unitary becomes Q diag(1 + e, 1 / (1 + e),
+        # 1, ...) Q^dag, a defect of about 2 sqrt(2) e = factor x
+        # UNITARITY_TOL; the check measured group by group must accept and
+        # reject as the dense ||U^dag U - I|| does
+        bad = _block_unitary(rng, BLOCKS_8X16)
+        q = random_unitary(rng, 16).matrix
+        e = factor * linalg.UNITARITY_TOL / (2 * math.sqrt(2))
+        bad[16:32, 16:32] = (q * np.r_[1 + e, 1 / (1 + e), np.ones(14)]) @ q.conj().T
+        dense = linalg.unitarity_defect(bad)
+        assert (dense > linalg.UNITARITY_TOL) == (factor > 1)
+        if factor > 1:
+            with pytest.raises(NotUnitary, match="unitarity defect"):
+                unitary(bad)
+        else:
+            u = unitary(bad)
+            assert u.groups is not None and u.defect >= dense
 
     def test_zero_free_unitary_has_no_groups(self, rng):
         assert random_unitary(rng, 64).groups is None
@@ -392,7 +411,7 @@ class TestBlockwiseEvolve:
         # does: at once for I / d, at step 2 for equal weights on a pair of
         # Q's columns (defect about 2 e sqrt(2) per step, trace moved only
         # at second order).
-        monkeypatch.setattr(dynamics, "GROUP_COST", 0)
+        monkeypatch.setattr(linalg, "GROUP_COST", 0)
         groups = [list(range(8 * b, 8 * b + 8)) for b in range(4)]
         good = unitary(_block_unitary(rng, groups))
         q = random_unitary(rng, 8).matrix

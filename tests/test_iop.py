@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -48,7 +49,14 @@ from iopsim.iop import (
 )
 from iopsim.measurement import MeasurementSystem, post_measurement_object
 
-from conftest import projectors, random_iop, random_pure, random_unitary
+from conftest import (
+    contraction_from_matrix,
+    dense_k,
+    projectors,
+    random_iop,
+    random_pure,
+    random_unitary,
+)
 from test_condensation import partitions
 
 
@@ -154,22 +162,22 @@ class TestContract:
     def test_unitary_is_contracting(self, rng):
         rho = random_iop(rng, 4)
         u = random_unitary(rng, 4)
-        out = contract(rho, Contraction.from_matrix(u.matrix))
+        out = contract(rho, contraction_from_matrix(u.matrix))
         assert np.isclose(np.trace(out.matrix).real, 1.0)
 
     def test_identity_fixes(self, rng):
         rho = random_iop(rng, 3)
-        out = contract(rho, Contraction.from_matrix(np.eye(3)))
+        out = contract(rho, contraction_from_matrix(np.eye(3)))
         np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-12)
 
     def test_diagonal_rescale(self):
-        k = Contraction.from_matrix(np.diag([math.sqrt(1.4), math.sqrt(0.6)]))
+        k = contraction_from_matrix(np.diag([math.sqrt(1.4), math.sqrt(0.6)]))
         out = contract(max_iop(2), k)
         np.testing.assert_allclose(out.matrix, np.diag([0.7, 0.3]), atol=1e-12)
 
     def test_non_contracting_operator_rejected(self, rng):
         rho = random_iop(rng, 2)
-        for k in (Contraction.from_matrix(2 * np.eye(2)),
+        for k in (contraction_from_matrix(2 * np.eye(2)),
                   Contraction(q=np.eye(2), s=np.full(2, 2.0), w=np.eye(2))):
             with pytest.raises(ResultNotIOperator):
                 contract(rho, k)
@@ -180,24 +188,25 @@ class TestContract:
 
     def test_dense_entry_keeps_k(self, rng):
         k = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-        c = Contraction.from_matrix(k)
+        c = contraction_from_matrix(k)
         assert c.source_dim == 2
-        np.testing.assert_array_equal(c.k, k)
+        np.testing.assert_array_equal(dense_k(c), k)
 
 
 class TestContractionFromMax:
     def test_self_contraction(self):
         k = contraction_from_max(max_iop(3))
-        np.testing.assert_allclose(k.k @ k.k.conj().T, np.eye(3), atol=1e-12)
+        dense = dense_k(k)
+        np.testing.assert_allclose(dense @ dense.conj().T, np.eye(3), atol=1e-12)
 
     def test_diagonal_target(self):
         k = contraction_from_max(validate(np.diag([0.7, 0.3])))
-        np.testing.assert_allclose(k.k, np.diag([math.sqrt(1.4), math.sqrt(0.6)]),
+        np.testing.assert_allclose(dense_k(k), np.diag([math.sqrt(1.4), math.sqrt(0.6)]),
                                    atol=1e-12)
 
     def test_pure_target(self):
         k = contraction_from_max(pure_iop([1, 0]))
-        np.testing.assert_allclose(k.k, np.diag([math.sqrt(2), 0.0]), atol=1e-12)
+        np.testing.assert_allclose(dense_k(k), np.diag([math.sqrt(2), 0.0]), atol=1e-12)
 
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 8))
     @settings(max_examples=100, deadline=None)
@@ -450,7 +459,7 @@ class TestSpectralForm:
             part = condition_on_label(rho, c, m)
             assert part.spectrum.eigenvectors.shape == (c.dim, len(g))
             assert linalg.frobenius_dist(part.matrix, validate(block).matrix) <= 1e-12
-            k = contraction_from_mixture(whole, part).k
+            k = dense_k(contraction_from_mixture(whole, part))
             assert linalg.frobenius_dist(
                 round_trip(whole, k),
                 round_trip(whole, dense_mixture_contraction(whole, part))) <= 1e-12
@@ -484,8 +493,9 @@ class TestSpectralForm:
             rho = op
             k = Contraction(q=random_unitary(rng, d).matrix, s=np.ones(d),
                             w=random_unitary(rng, d).matrix)
-        oracle = validate(k.k @ rho.matrix @ k.k.conj().T)
-        for kk in (k, Contraction.from_matrix(k.k)):
+        dense = dense_k(k)
+        oracle = validate(dense @ rho.matrix @ dense.conj().T)
+        for kk in (k, contraction_from_matrix(dense)):
             assert linalg.frobenius_dist(contract(rho, kk).matrix, oracle.matrix) <= 1e-12
 
     def test_caller_spectrum_is_copied(self):
@@ -568,3 +578,84 @@ class TestSpectralForm:
             unit = psi / np.linalg.norm(psi)
             assert np.max(np.abs(built - np.outer(unit, unit.conj()))) <= 1e-15
             assert built is rho.matrix and not built.flags.writeable
+
+
+def permuted_blocks(rng, sizes, kind):
+    """(a, groups): a Hermitian matrix that is Haar-rotated blocks of the
+    given sizes on index groups shuffled by a random permutation, zero
+    elsewhere, with eigenvalues summing to 1.
+
+    `kind` as in `raw_spectrum`, plus "indefinite" (one eigenvalue
+    -1e-6, past POSITIVITY_TOL) and "trace" (all scaled by 1 + 1e-8)."""
+    d = sum(sizes)
+    w, _ = raw_spectrum(rng, d, {"indefinite": "generic",
+                                 "trace": "generic"}.get(kind, kind))
+    if kind == "rank1":
+        w = np.concatenate([np.zeros(d - 1), w])
+    if kind == "indefinite":
+        w = np.concatenate([[-1e-6], w[1:] * (1 + 1e-6) / w[1:].sum()])
+    if kind == "trace":
+        w = w * (1 + 1e-8)
+    w = rng.permutation(w)
+    perm = rng.permutation(d)
+    groups = np.split(perm, np.cumsum(sizes)[:-1])
+    a = np.zeros((d, d), dtype=complex)
+    for g, part in zip(groups, np.split(w, np.cumsum(sizes)[:-1])):
+        q = random_unitary(rng, g.size).matrix
+        a[np.ix_(g, g)] = (q * part) @ q.conj().T
+    return a, [np.sort(g) for g in groups]
+
+
+def validated_densely(a):
+    """validate(a) with no index group ever paying: the dense path."""
+    with mock.patch.object(linalg, "GROUP_COST", math.inf):
+        return validate(a)
+
+
+class TestGroupedValidate:
+    """A matrix block diagonal up to a permutation of its indices is
+    diagonalized group by group where that pays, with the dense path's
+    accepts, rejects, eigenvalues and matrix."""
+
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(59, 160),
+           k=st.integers(2, 6),
+           kind=st.sampled_from([*KINDS, "indefinite", "trace"]))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_dense_path(self, seed, d, k, kind):
+        rng = np.random.default_rng(seed)
+        sizes = np.diff([0, *np.sort(rng.choice(np.arange(1, d), k - 1,
+                                                replace=False)), d])
+        a, groups = permuted_blocks(rng, sizes, kind)
+        found = linalg.index_groups(a)
+        if kind != "rank1":  # no block is zero: the groups are the blocks
+            assert sorted(map(list, found)) == sorted(map(list, groups))
+        pays = found is not None and linalg._grouped_pays(found, d, d)
+        target(float(pays))
+        if kind in ("indefinite", "trace"):
+            error = NotPositive if kind == "indefinite" else TraceNotOne
+            with pytest.raises(error):
+                validated_densely(a)
+            with pytest.raises(error):
+                validate(a)
+            return
+        rho, oracle = validate(a), validated_densely(a)
+        w, v = rho.spectrum
+        assert (rho.isometry_defect is not None) == pays
+        assert np.max(np.abs(w - np.clip(np.linalg.eigvalsh(a), 0, None))) <= 1e-13
+        if holds_matrix(oracle):  # nothing clamped: the matrix as it came
+            assert holds_matrix(rho)
+            assert np.array_equal(rho.matrix, oracle.matrix)
+        else:
+            assert linalg.frobenius_dist(rho.matrix, oracle.matrix) <= 1e-13
+        if pays:
+            assert (linalg.measured_bound(rho.isometry_defect, *v.shape)
+                    >= linalg.unitarity_defect(v))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.inf])
+    def test_non_finite_zero_weight_column_rejected(self, bad):
+        # the column's weight is 0, so |V|^2 w would not see it: its
+        # squared norm does
+        v = np.eye(3, dtype=complex)
+        v[1, 0] = bad
+        with pytest.raises(NotFinite, match="eigenvectors contain NaN or Inf"):
+            validate(linalg.HermEigen(np.array([0.0, 0.5, 0.5]), v))

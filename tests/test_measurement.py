@@ -37,6 +37,7 @@ from iopsim.measurement import (
 )
 
 from conftest import (
+    dense_k,
     kraus_from_branches,
     random_iop,
     random_pure,
@@ -559,5 +560,5 @@ class TestSupportFloor:
             assert np.linalg.norm(k @ np.array([0, 1])) == 0.0
         with pytest.raises(SupportViolation):
             contraction_from_mixture(whole, pure_iop([0, 1]))
-        k = contraction_from_mixture(whole, pure_iop([1, 0])).k
+        k = dense_k(contraction_from_mixture(whole, pure_iop([1, 0])))
         assert np.linalg.norm(k @ np.array([0, 1])) == 0.0

@@ -305,6 +305,36 @@ def test_index_partitions_run_no_eigensolver(eigensolver_shapes):
     assert eigensolver_shapes == [(8, 8), (16, 16)] * 4
 
 
+def test_grouped_validate_diagonalizes_only_its_blocks(eigensolver_shapes):
+    # d = 128 as 4 index groups of 32, interleaved: validate diagonalizes
+    # each 32 x 32 block and no 128 x 128 matrix
+    rng = np.random.default_rng(23)
+    groups = [np.arange(b, 128, 4) for b in range(4)]
+    a = np.zeros((128, 128), dtype=complex)
+    for g, p in zip(groups, rng.dirichlet(np.ones(4))):
+        a[np.ix_(g, g)] = p * random_iop(rng, 32).matrix
+    eigensolver_shapes.clear()
+    rho = validate(a)
+    assert eigensolver_shapes == [(32, 32)] * 4
+    assert holds_matrix(rho) and rho.isometry_defect is not None
+
+
+def test_grouped_unitary_check_forms_only_block_grams(monkeypatch):
+    # the 8 x 16 block unitary's check is 8 Grams of 16 x 16 blocks, whose
+    # root sum of squares is exactly the dense ||U^dag U - I||
+    _, u, _ = _condensed_chain_start(29)
+    shapes = []
+
+    def counted(v, _defect=linalg.unitarity_defect):
+        shapes.append(v.shape)
+        return _defect(v)
+
+    monkeypatch.setattr(linalg, "unitarity_defect", counted)
+    checked = dynamics.unitary(u.matrix)
+    assert shapes == [(16, 16)] * 8
+    assert checked.blocks.shape == (8, 16, 16)
+
+
 def test_contract_diagonalizes_only_the_part_rank(eigensolver_shapes):
     # the mixture is d = 128 with 8 label blocks of 16: contracting it to
     # one label's part diagonalizes a 16 x 16 core and never builds the
@@ -359,8 +389,6 @@ CALLER_FILES = [*sorted((REPO / "bench").glob("*.py")),
                 REPO / "tests/test_acceptance.py", REPO / "tests/conftest.py"]
 NO_CALLER_NEEDED = {
     "dynamics.motion_residual": "the motion residual that claim (b)'s check needs",
-    "iop.Contraction.from_matrix": "dense test oracle for the factored contraction",
-    "iop.Contraction.k": "dense test oracle for the factored contraction",
 }
 
 
