@@ -22,7 +22,7 @@ import numpy as np
 from . import linalg
 from .dynamics import UnitaryOp
 from .errors import DimensionMismatch, UnknownLabel, ZeroProbabilityLabel
-from .iop import InfoOperator, condition, validate
+from .iop import InfoOperator, _from_spectrum, condition, validate
 
 BLOCK_TOL = 1e-9
 
@@ -99,6 +99,13 @@ def label_probabilities(rho: InfoOperator, c: CondensationStructure):
     return [(m, float(p)) for m, p in zip(c.labels, sums)]
 
 
+def _group_blocks(rho: InfoOperator, groups) -> list:
+    """rho[g, g] per index group g, from rho's spectrum (w, V) as
+    `iop._from_spectrum` forms (V[g] w) V[g]^dag: no d x d matrix is built."""
+    w, v = rho.spectrum
+    return [_from_spectrum(w, v[g]) for g in groups]
+
+
 def condition_on_label(rho: InfoOperator, c: CondensationStructure, m) -> InfoOperator:
     """P^m rho P^m, renormalized: the description after learning the label.
 
@@ -110,7 +117,7 @@ def condition_on_label(rho: InfoOperator, c: CondensationStructure, m) -> InfoOp
         g = list(c.blocks[c.labels.index(m)])
     except ValueError:
         raise UnknownLabel(f"unknown label {m!r}") from None
-    weight, block = condition(rho.matrix[np.ix_(g, g)])
+    weight, block = condition(_group_blocks(rho, [g])[0])
     if block is None:
         raise ZeroProbabilityLabel(f"label {m!r} has weight {weight:.3e}")
     return validate(*linalg.grouped_eigh([block], [g], c.dim))
@@ -123,8 +130,7 @@ def block_projected(rho: InfoOperator, c: CondensationStructure) -> InfoOperator
     """
     _check_dims(rho, c)
     groups = [list(g) for g in c.blocks]
-    return validate(*linalg.grouped_eigh(
-        [rho.matrix[np.ix_(g, g)] for g in groups], groups, c.dim))
+    return validate(*linalg.grouped_eigh(_group_blocks(rho, groups), groups, c.dim))
 
 
 def is_condensed_form(rho: InfoOperator, c: CondensationStructure) -> bool:

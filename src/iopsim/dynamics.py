@@ -14,7 +14,8 @@ import numpy as np
 
 from . import linalg
 from .config import get_hbar
-from .errors import DimensionMismatch, InsufficientPoints, NotFinite, NotUnitary
+from .errors import (BadParameter, DimensionMismatch, InsufficientPoints,
+                     NotFinite, NotUnitary)
 from .iop import InfoOperator, validate
 
 TIME_SPACING_RTOL = 1e-9  # np.allclose bounds on uneven trajectory time steps
@@ -200,10 +201,10 @@ def motion_residual(h: HamiltonianOp, rho_traj) -> float:
     times = np.array([t for t, _ in traj], dtype=float)
     dts = np.diff(times)
     if np.any(dts <= 0):
-        raise ValueError("trajectory times must be strictly increasing")
+        raise BadParameter("trajectory times must be strictly increasing")
     if not np.allclose(dts, dts[0], rtol=TIME_SPACING_RTOL,
                        atol=TIME_SPACING_ATOL):
-        raise ValueError("trajectory times must be uniformly spaced")
+        raise BadParameter("trajectory times must be uniformly spaced")
     dt = float(dts[0])
     hbar = get_hbar()
     hm = h.matrix

@@ -228,8 +228,11 @@ def rank_one_dist(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def unitarity_defect(u: np.ndarray) -> float:
-    """||U^dag U - I||; for a thin U (d x r) this is its isometry defect."""
-    return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[1])))
+    """||U^dag U - I||; for a thin U (d x r) this is its isometry defect,
+    I taken off in place and the norm summed as `np.linalg.norm` sums it."""
+    x = (u.conj().T @ u).ravel()
+    x[:: u.shape[1] + 1] -= 1
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
 def _gamma(k: int) -> float:

@@ -97,7 +97,7 @@ class Observable:
 
 def _route(pair, dim: int) -> tuple:
     """(rows, cols) as read-only index arrays, checked: 1-D integer arrays
-    of one length, in [0, dim), neither repeating an index."""
+    of one length, in [0, dim), neither repeating an index (a bincount)."""
     route = tuple(np.asarray(a) for a in pair)
     if len(route) != 2 or route[0].ndim != 1 or route[0].shape != route[1].shape:
         raise ValueError("a route is a pair of 1-D index arrays of one length")
@@ -106,20 +106,21 @@ def _route(pair, dim: int) -> tuple:
             raise ValueError(f"route indices must be integers, got {a.dtype}")
         if a.size and not 0 <= a.min() <= a.max() < dim:
             raise DimensionMismatch(f"route index outside [0, {dim})")
-        if np.unique(a).size != a.size:
+        if a.size and np.bincount(a.astype(np.intp, copy=False)).max() > 1:
             raise ValueError("a route repeats an index within one label")
     return tuple(linalg.frozen(a, dtype=np.intp) for a in route)
 
 
 def _kraus_times(ms: MeasurementSystem, v: np.ndarray, k=slice(None)) -> np.ndarray:
     """K^m V for the label at index k, or for every label as one stack: a
-    gather of V's rows for a routed family, a product for a dense one."""
+    gather of V's rows on the routes asked for, or a product for a dense family."""
     if ms.routes is None:
         return np.matmul(ms.kraus[k], v)
-    out = np.zeros((len(ms.labels), *v.shape), dtype=complex)
-    for out_m, (rows, cols) in zip(out, ms.routes):
+    routes = ms.routes[k] if isinstance(k, slice) else ms.routes[k:k + 1]
+    out = np.zeros((len(routes), *v.shape), dtype=complex)
+    for out_m, (rows, cols) in zip(out, routes):
         out_m[rows] = v[cols]
-    return out[k]
+    return out if isinstance(k, slice) else out[0]
 
 
 def completeness_defect(ms: MeasurementSystem) -> float:

@@ -12,6 +12,7 @@ from iopsim.condensation import (
     BLOCK_TOL,
     CondensationStructure,
     _coupling,
+    _group_blocks,
     block_projected,
     condition_on_label,
     finest_respected_structure,
@@ -261,6 +262,35 @@ class TestConditionOnLabel:
         probs = dict(label_probabilities(out, structure))
         assert np.isclose(probs["+"], 1.0)
         assert np.isclose(probs["-"], 0.0, atol=1e-12)
+
+
+class TestGroupBlocks:
+    @pytest.mark.parametrize("blocks", [
+        {"+": [0, 1], "-": [2, 3]},
+        {"even": [0, 2, 4], "odd": [1, 3, 5]},
+        {b: range(16 * b, 16 * b + 16) for b in range(8)},
+    ], ids=["4", "6-interleaved", "128"])
+    def test_blocks_are_those_of_the_matrix(self, rng, blocks):
+        # each group's block is formed from the spectrum of an evolved
+        # operator, which holds no matrix; it equals the block of the
+        # matrix built from that spectrum
+        d = sum(len(g) for g in blocks.values())
+        c = CondensationStructure.from_index_blocks(d, blocks)
+        rho = evolve(random_iop(rng, d), random_unitary(rng, d))
+        groups = [list(g) for g in c.blocks]
+        formed = _group_blocks(rho, groups)
+        assert "matrix" not in vars(rho)
+        for g, b in zip(groups, formed):
+            assert np.max(np.abs(b - rho.matrix[np.ix_(g, g)])) <= 1e-15
+
+    def test_projections_build_no_matrix(self, rng):
+        c = CondensationStructure.from_index_blocks(
+            128, {b: range(16 * b, 16 * b + 16) for b in range(8)})
+        rho = evolve(random_iop(rng, 128), unitary(
+            block_diag_unitary(rng, [16] * 8).matrix))
+        block_projected(rho, c)
+        condition_on_label(rho, c, 3)
+        assert "matrix" not in vars(rho)
 
 
 class TestCondensedForm:

@@ -20,6 +20,7 @@ from iopsim.dynamics import (
     unitary,
 )
 from iopsim.errors import (
+    BadParameter,
     DimensionMismatch,
     InsufficientPoints,
     IopsimError,
@@ -125,6 +126,16 @@ class TestMotionResidual:
         with pytest.raises(InsufficientPoints):
             motion_residual(h, [(0.0, max_iop(2)), (0.1, max_iop(2))])
 
+    @pytest.mark.parametrize("times, match", [
+        ((0.0, 0.1, 0.1), "strictly increasing"),
+        ((0.0, 0.2, 0.1), "strictly increasing"),
+        ((0.0, 0.1, 0.3), "uniformly spaced"),
+    ], ids=["repeated", "decreasing", "uneven"])
+    def test_bad_times_are_typed(self, times, match):
+        h = hamiltonian(np.diag([1.0, 2.0]))
+        with pytest.raises(BadParameter, match=match):
+            motion_residual(h, [(t, max_iop(2)) for t in times])
+
 
 class TestUnitaryCheck:
     def test_non_unitary_is_typed(self):
@@ -195,6 +206,18 @@ class TestFourierUnitary:
         assert np.array_equal(out[n:], v[n:])
         assert not u.matrix.flags.writeable
         assert linalg.unitarity_defect(u.matrix) <= 1e-13
+
+    @pytest.mark.parametrize("n", [16, 17, 128, 513])
+    def test_batched_columns_equal_single_products(self, rng, n):
+        # the FFT along axis 0 runs one plan per column, so a column of a
+        # batch is the product of that column alone, bit for bit
+        u = fourier_unitary(_random_phases(rng, n), n + 1)
+        for k in range(1, 6):
+            v = rng.normal(size=(n + 1, k)) + 1j * rng.normal(size=(n + 1, k))
+            batch = dynamics._product(u, v)
+            for j in range(k):
+                alone = dynamics._product(u, v[:, j:j + 1])
+                assert np.array_equal(batch[:, j], alone[:, 0]), (k, j)
 
     def test_evolve_measures_the_product(self, rng, monkeypatch):
         # no bound is carried for the FFT's rounding: validate measures

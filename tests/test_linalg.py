@@ -199,3 +199,27 @@ class TestDefectBounds:
         bound = linalg.checked_isometry(v)
         assert bound >= measured
         assert linalg.measured_bound(bound, n, r) >= measured
+
+
+class TestUnitarityDefect:
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 24),
+           isometry=st.booleans(), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_keeps_the_bits_of_numpy_norm(self, seed, n, isometry, data):
+        # square and thin inputs, near-isometries (where G - I is all
+        # rounding) and general ones, with signed zeros in both parts
+        r = data.draw(st.integers(1, n))
+        rng = np.random.default_rng(seed)
+        u = rng.normal(size=(n, r)) + 1j * rng.normal(size=(n, r))
+        if isometry:
+            u = np.linalg.qr(u)[0]
+        for part in (u.real, u.imag):
+            hit = rng.random(part.shape) < 0.3
+            part[hit] = np.where(rng.random(hit.sum()) < 0.5, -0.0, 0.0)
+        oracle = float(np.linalg.norm(u.conj().T @ u - np.eye(r)))
+        assert linalg.unitarity_defect(u) == oracle
+
+    @pytest.mark.parametrize("shape", [(3, 3), (5, 2), (1, 1)])
+    def test_negative_zero_matrix(self, shape):
+        u = np.full(shape, complex(-0.0, -0.0))
+        assert linalg.unitarity_defect(u) == math.sqrt(shape[1])

@@ -118,19 +118,31 @@ class TestConstruction:
     @pytest.mark.parametrize("labels, routes, error, match", [
         (("a",), (([0, 0], [0, 1]),), ValueError, "repeats an index"),
         (("a",), (([0, 1], [1, 1]),), ValueError, "repeats an index"),
+        (("a",), ((np.array([0, 1], dtype=np.uint64),
+                   np.array([1, 1], dtype=np.uint64)),),
+         ValueError, "repeats an index"),
         (("a",), (([0, 2], [0, 1]),), DimensionMismatch, "outside"),
         (("a",), (([0], [-1]),), DimensionMismatch, "outside"),
         (("a", "b"), (([0], [0]),), ValueError, "aligned"),
         ((), (), ValueError, "nonempty"),
         (("a",), (([0, 1], [0]),), ValueError, "one length"),
         (("a",), (([0.0], [0]),), ValueError, "integers"),
-    ], ids=["repeated-row", "repeated-col", "index-past-dim", "negative-index",
-            "labels-misaligned", "empty", "ragged-pair", "float-index"])
+    ], ids=["repeated-row", "repeated-col", "repeated-uint64-col",
+            "index-past-dim", "negative-index", "labels-misaligned", "empty",
+            "ragged-pair", "float-index"])
     def test_malformed_routes_raise_typed_errors(self, labels, routes, error, match):
         # the errors the dense constructor raises for the same faults, never
         # an IndexError from numpy
         with pytest.raises(error, match=match):
             MeasurementSystem(dim_s=2, labels=labels, routes=routes, f={})
+
+    def test_route_edges_pass(self):
+        # an empty route and the last index, dim - 1, are both accepted
+        empty = np.array([], dtype=int)
+        ms = MeasurementSystem(dim_s=3, labels=("none", "swap"),
+                               routes=((empty, empty), ([2, 0], [0, 2])), f={})
+        assert ms.routes[0][0].size == 0 and ms.routes[0][0].dtype == np.intp
+        assert np.array_equal(ms.kraus[1], [[0, 0, 1], [0, 0, 0], [1, 0, 0]])
 
     @pytest.mark.parametrize("given", [{}, {"kraus": (np.eye(2),),
                                             "routes": (([0, 1], [0, 1]),)}],

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from iopsim import config, dynamics, linalg, scenarios
+from iopsim import config, dynamics, ivec, linalg, scenarios
 from iopsim.errors import BadParameter, BadSlitGeometry
 from iopsim.iop import ZERO_WEIGHT_FLOOR
 from iopsim.measurement import completeness_defect
@@ -208,6 +208,57 @@ class TestTwoSlit:
         report = two_slit()
         assert np.isclose(sum(report.outputs["intensity_coherent"]), 1.0)
         assert np.isclose(sum(report.outputs["intensity_incoherent"]), 1.0)
+
+    @given(grid_n=st.integers(16, 40), data=st.data(),
+           reach=st.floats(0.0, 100.0) | st.just(1e18))
+    @settings(max_examples=200, deadline=None)
+    def test_front_masks_match_a_site_by_site_walk(self, grid_n, data, reach):
+        # reference: every site of the line unwrapped around the slit, out
+        # to `hops`, marks the parity of its distance to the nearest slit
+        # site, and, for a slit of two or more sites, while short of
+        # `hops`, the parity one further
+        a = data.draw(st.integers(0, grid_n - 1))
+        b = data.draw(st.integers(a + 1, grid_n))
+        hops = int(min(reach, 2 * grid_n))
+        expected = np.zeros((2, grid_n), dtype=bool)
+        for y in range(a - hops, b + hops):
+            m = max(0, a - y, y - (b - 1))
+            expected[m % 2, y % grid_n] = True
+            if b - a > 1 and m < hops:
+                expected[(m + 1) % 2, y % grid_n] = True
+        assert np.array_equal(scenarios._front_reached(grid_n, a, b, reach),
+                              expected)
+
+    @pytest.mark.parametrize("grid_n", [17, 513])
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_intensities_equal_per_vector_propagation(self, grid_n, count):
+        # oracle: each vector propagated alone, as a column of its own,
+        # then weighted and summed as the incoherent route does
+        slits = [(1, 3), (7, 9), (13, 16)] if grid_n == 17 else [
+            (100, 110), (250, 262), (400, 405)]
+        slits = slits[:count]
+        steps = scenarios.TWO_SLIT_DEFAULT_STEPS
+        report = two_slit(grid_n=grid_n, slit_positions=slits, steps=steps)
+        u = scenarios._ring_propagator(grid_n, steps * scenarios.TWO_SLIT_DT)
+
+        def intensity(x):
+            return np.abs(dynamics._product(u, x[:, None])[:grid_n, 0]) ** 2
+
+        psi_in = np.zeros(grid_n + 1, dtype=complex)
+        psi_in[:grid_n] = 1.0 / math.sqrt(grid_n)
+        passed = np.zeros_like(psi_in)
+        weights, vectors = [], []
+        for a, b in slits:
+            passed[a:b] = psi_in[a:b]
+            psi_s = np.zeros_like(psi_in)
+            psi_s[a:b] = psi_in[a:b]
+            weights.append(float(np.vdot(psi_s, psi_s).real))
+            vectors.append(psi_s / math.sqrt(weights[-1]))
+        coherent = intensity(ivec.gauge_fix(passed).amplitudes)
+        incoherent = sum((w / sum(weights)) * intensity(v)
+                         for w, v in zip(weights, vectors))
+        assert np.array_equal(report.outputs["intensity_coherent"], coherent)
+        assert np.array_equal(report.outputs["intensity_incoherent"], incoherent)
 
     def test_explicit_passage_probability(self):
         report = two_slit(p_pass=0.25)

@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 import iopsim
-from iopsim import dynamics, iop, linalg, scenarios
+from iopsim import dynamics, iop, linalg, measurement, scenarios
 from iopsim.composite import CompositeSpec, branch_decompose
 from iopsim.condensation import (
     CondensationStructure,
@@ -170,13 +170,57 @@ def test_two_slit_builds_no_screen_stack(monkeypatch):
     assert "kraus" in vars(screen)
 
 
+def test_two_slit_propagates_its_check_vectors_in_one_batch(monkeypatch):
+    # the passed vector, each slit's vector and the one-slit control are
+    # the columns of one product; the two evolves make the other two
+    shapes = []
+
+    def counted(u, v, _product=dynamics._product):
+        shapes.append(v.shape)
+        return _product(u, v)
+
+    monkeypatch.setattr(dynamics, "_product", counted)
+    assert two_slit(grid_n=64, slit_positions=((20, 22), (42, 44))).all_pass()
+    assert len(shapes) == 3 and (65, 4) in shapes
+
+
+def test_two_slit_sorts_and_hashes_no_route(monkeypatch):
+    # the screen's routes are checked for repeats by bincount
+    def refused(*args, **kwargs):
+        raise AssertionError("np.unique called")
+
+    monkeypatch.setattr(np, "unique", refused)
+    assert two_slit(grid_n=64, slit_positions=((20, 22), (42, 44))).all_pass()
+
+
+def test_routed_label_gathers_one_label():
+    # K^0 V on a routed family of 8 labels fills one label's d x r output,
+    # not the (8, d, r) stack of every label
+    d, r = 512, 8
+    groups = np.arange(d).reshape(8, -1)
+    ms = MeasurementSystem(dim_s=d, labels=tuple(range(8)),
+                           routes=tuple((g, g) for g in groups), f={})
+    v = np.ones((d, r), dtype=complex)
+    label_bytes = d * r * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        out = measurement._kraus_times(ms, v, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (d, r) and np.array_equal(out[:64], v[:64])
+    assert not out[64:].any()
+    assert peak - entry <= 2 * label_bytes
+
+
 @pytest.mark.parametrize("grid_n, slits", [
     (512, ((160, 176), (336, 352))),
     (2048, ((640, 704), (1344, 1408))),
 ], ids=["512", "2048"])
 def test_two_slit_peaks_at_64_vectors_above_entry(grid_n, slits):
     # no d x d array: the ring propagator is applied by FFT, so the peak
-    # is a few dozen length-d vectors (about 27 at grids 512 to 4095);
+    # is a few dozen length-d vectors (36 to 38 at grids 512 to 4095);
     # one warm-up call first, so that caches numpy fills once are not
     # counted
     vector_bytes = (grid_n + 1) * np.dtype(complex).itemsize
