@@ -130,33 +130,23 @@ def fourier_unitary(phases, dim: int) -> FourierUnitary:
 
 def _product(u: UnitaryOp | FourierUnitary, v: np.ndarray) -> np.ndarray:
     """U V for a d x r V, fresh and read-only: by FFT for a FourierUnitary,
-    with the rows past its phases copied through; else one group g of
-    `u.groups` at a time when that pays: rows g are U[g, g] V[g].
+    with the rows past its phases copied through; else as one matmul of
+    the stacked `u.blocks` when they pay: rows g are U[g, g] V[g].
 
     Row i of the dense product sums U[i, j] V[j] over every j, and the
     terms outside i's group are exact zeros, so this skips only zeros.
-    Stacked `blocks` take one matmul; else a contiguous group is taken as
-    views, straight into the result (README, Conventions), and any other
-    group is gathered.
+    Any other U V is the dense product (README, Conventions).
     """
     if isinstance(u, FourierUnitary):
         n = u.phases.size
         out = v.astype(complex)
         out[:n] = np.fft.ifft(u.phases[:, None] * np.fft.fft(v[:n], axis=0), axis=0)
-    elif u.groups is None or not linalg._grouped_pays(u.groups, *v.shape):
+    elif u.blocks is None or not linalg._grouped_pays(u.groups, *v.shape):
         out = u.matrix @ v
-    elif u.blocks is not None:
+    else:
         out = np.empty(v.shape, dtype=complex)
         k, s, _ = u.blocks.shape
         np.matmul(u.blocks, v.reshape(k, s, -1), out=out.reshape(k, s, -1))
-    else:
-        a, out = u.matrix, np.empty(v.shape, dtype=complex)
-        for g in u.groups:
-            if g[-1] - g[0] == g.size - 1:
-                g = slice(g[0], g[-1] + 1)
-                np.matmul(a[g, g], v[g], out=out[g])
-            else:
-                out[g] = a.take(g, axis=0).take(g, axis=1) @ v.take(g, axis=0)
     out.setflags(write=False)
     return out
 
@@ -165,8 +155,8 @@ def evolve(rho: InfoOperator, u: UnitaryOp | FourierUnitary) -> InfoOperator:
     """U rho U^dag, validated as the spectral form (w, U V) of rho's (w, V).
 
     No eigensolver runs: the eigenvalues carry over and the eigenvectors
-    rotate, O(d^2 r) for a rank-r spectrum, O(sum_g |g|^2 r) when U
-    has decoupled `groups`, O(d log d r) for a FourierUnitary.  When a
+    rotate, O(d^2 r) for a rank-r spectrum, O(d^2 r / k) when U has k
+    stacked `blocks`, O(d log d r) for a FourierUnitary.  When a
     UnitaryOp U and V both carry an isometry-defect bound, that of U V
     is carried from them (`linalg.product_defect_bound`), with no Gram
     product; otherwise, or when that bound cannot settle UNITARITY_TOL,

@@ -16,6 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
+from .config import DIM_CAP
 from .errors import (
     DimensionMismatch,
     NotFinite,
@@ -104,16 +105,32 @@ def validate(m, known_defect=None) -> InfoOperator:
     silently accepting genuinely indefinite matrices.  TRACE_TOL bounds the
     trace of the operator returned: an unclamped matrix keeps its own, and
     any other is sum_i w_i |v_i|^2 with its matrix built on first read.  A
-    spectral form needs no eigensolver: its eigenvectors are checked to be
-    orthonormal.  `known_defect`, a bound on their ||V^dag V - I||_F that
-    the caller proved (`dynamics.evolve` carries one), spares the dense
-    isometry check unless it cannot settle UNITARITY_TOL.  A matrix's
-    `linalg.paying_groups` are diagonalized one by one, with a bound.
+    spectral form needs no eigensolver: its eigenvalues must be finite and
+    ascending, one per column of V (DIM_CAP rows at most, no fewer than
+    columns), whose columns `linalg.checked_isometry` checks orthonormal;
+    `known_defect`, a bound on their ||V^dag V - I||_F that the caller
+    proved (`dynamics.evolve` carries one), spares the dense check unless
+    it cannot settle UNITARITY_TOL.  A matrix's `linalg.paying_groups` are
+    diagonalized one by one, with a bound.
     """
     defect = moduli = diagonal = None
     if isinstance(m, linalg.HermEigen):
-        (w, v), defect, moduli = linalg.checked_spectrum(m, known_defect)
-        a = None
+        w = np.asarray(m.eigenvalues, dtype=float)
+        v = np.asarray(m.eigenvectors, dtype=complex)
+        if (w.ndim != 1 or v.ndim != 2 or w.size != v.shape[1]
+                or not w.size <= v.shape[0] <= DIM_CAP):
+            raise DimensionMismatch(
+                f"{np.shape(w)} eigenvalues for eigenvectors of shape {v.shape}")
+        # V is read once, for |V|^2: a sum of nonnegative terms, finite
+        # unless V holds a NaN or Inf (or an entry the isometry check rejects)
+        moduli = v.real ** 2 + v.imag ** 2
+        if not math.isfinite(moduli.sum()) and not np.isfinite(v).all():
+            raise NotFinite("eigenvectors contain NaN or Inf")
+        if not np.isfinite(w).all():
+            raise NotFinite("eigenvalues contain NaN or Inf")
+        if (w[1:] < w[:-1]).any():
+            raise ValueError("eigenvalues must be in ascending order")
+        defect, a = linalg.checked_isometry(v, known_defect), None
     else:
         a = linalg.hermitian(m)
         a = (a + a.conj().T) / 2

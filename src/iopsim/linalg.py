@@ -124,10 +124,6 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return float(np.linalg.norm(a - a.conj().T))
 
 
-def is_hermitian(a: np.ndarray) -> bool:
-    return hermiticity_defect(a) <= HERMITICITY_TOL * max(1.0, float(np.linalg.norm(a)))
-
-
 def hermitian(m) -> np.ndarray:
     """`m` as a complex array, checked finite, square and Hermitian.
 
@@ -135,8 +131,9 @@ def hermitian(m) -> np.ndarray:
     """
     a = as_cmatrix(m)
     require_square(a)
-    if not is_hermitian(a):
-        raise NotHermitian(f"hermiticity defect {hermiticity_defect(a):.3e}")
+    defect = hermiticity_defect(a)
+    if not defect <= HERMITICITY_TOL * max(1.0, float(np.linalg.norm(a))):
+        raise NotHermitian(f"hermiticity defect {defect:.3e}")
     return a
 
 
@@ -304,27 +301,3 @@ def checked_isometry(v: np.ndarray, bound: float | None = None,
         bound = _defect_bound(measured, n, r)
     return bound
 
-
-def checked_spectrum(e: HermEigen, bound: float | None = None):
-    """(`e`, its isometry bound, |V|^2), with finite, ascending eigenvalues
-    and isometric eigenvectors.
-
-    The eigenvector columns must be orthonormal to UNITARITY_TOL
-    (NotUnitary otherwise, decided by :func:`checked_isometry` from
-    `bound`), one per eigenvalue and no more than rows, DIM_CAP at most.
-    V is read once, for |V|^2, whose sum is finite unless V holds a NaN or
-    Inf (or an entry the isometry check rejects)."""
-    w = np.asarray(e.eigenvalues, dtype=float)
-    v = np.asarray(e.eigenvectors, dtype=complex)
-    if (w.ndim != 1 or v.ndim != 2 or w.size != v.shape[1]
-            or not w.size <= v.shape[0] <= DIM_CAP):
-        raise DimensionMismatch(
-            f"{np.shape(w)} eigenvalues for eigenvectors of shape {v.shape}")
-    moduli = v.real ** 2 + v.imag ** 2
-    if not math.isfinite(moduli.sum()) and not np.isfinite(v).all():
-        raise NotFinite("eigenvectors contain NaN or Inf")
-    if not np.isfinite(w).all():
-        raise NotFinite("eigenvalues contain NaN or Inf")
-    if (w[1:] < w[:-1]).any():
-        raise ValueError("eigenvalues must be in ascending order")
-    return HermEigen(w, v), checked_isometry(v, bound), moduli

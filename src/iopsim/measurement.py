@@ -97,18 +97,21 @@ class Observable:
 
 def _route(pair, dim: int) -> tuple:
     """(rows, cols) as read-only index arrays, checked: 1-D integer arrays
-    of one length, in [0, dim), neither repeating an index (a bincount)."""
+    of one length, in [0, dim), neither repeating an index (a bincount).
+    One array given as both rows and cols is checked and stored once."""
     route = tuple(np.asarray(a) for a in pair)
     if len(route) != 2 or route[0].ndim != 1 or route[0].shape != route[1].shape:
         raise ValueError("a route is a pair of 1-D index arrays of one length")
-    for a in route:
+    distinct = route[:1] if route[1] is route[0] else route
+    for a in distinct:
         if a.size and a.dtype.kind not in "iu":
             raise ValueError(f"route indices must be integers, got {a.dtype}")
         if a.size and not 0 <= a.min() <= a.max() < dim:
             raise DimensionMismatch(f"route index outside [0, {dim})")
         if a.size and np.bincount(a.astype(np.intp, copy=False)).max() > 1:
             raise ValueError("a route repeats an index within one label")
-    return tuple(linalg.frozen(a, dtype=np.intp) for a in route)
+    stored = [linalg.frozen(a, dtype=np.intp) for a in distinct]
+    return stored[0], stored[-1]
 
 
 def _kraus_times(ms: MeasurementSystem, v: np.ndarray, k=slice(None)) -> np.ndarray:
@@ -179,14 +182,17 @@ def post_measurement_object(ms: MeasurementSystem, rho: InfoOperator, m) -> Info
 
 
 def observable(ms: MeasurementSystem) -> Observable:
-    """sum_m f(m) (M^m)^dag M^m for a definitive system.
+    """sum_m f(m) (M^m)^dag M^m for a definitive system: one product
+    R^dag diag(f (x) 1) R over R, the stacked rows `completeness_defect` reads.
 
     When every Kraus operator is a projector, the scale values are exactly
     the eigenvalues; in general they are not.
     """
     if not is_definitive(ms):
         raise NotDefinitive(f"completeness defect {completeness_defect(ms):.3e}")
-    total = sum(ms.f[m] * k.conj().T @ k for m, k in zip(ms.labels, ms.kraus))
+    rows = ms.kraus.reshape(-1, ms.dim_s)
+    f = np.repeat([ms.f[m] for m in ms.labels], ms.dim_s)
+    total = (rows.conj().T * f) @ rows
     total = (total + total.conj().T) / 2
     return Observable(matrix=total)
 

@@ -481,21 +481,21 @@ def _front_reached(grid_n: int, a: int, b: int, reach: float) -> np.ndarray:
 
 
 def _slit_screen(grid_n: int, slit_sites) -> measurement.MeasurementSystem:
-    """Pass: the projector onto the slit sites.  Absorb: I - P with the rows
-    of the first blocked site and of the flag swapped.  Both are partial
-    permutations, held as routes."""
+    """Pass: the projector onto the slit sites, one index array as rows and
+    cols.  Absorb: I - P with the rows of the first blocked site and of the
+    flag swapped.  Both are partial permutations, held as routes."""
     dim = grid_n + 1
+    sites = linalg.frozen(slit_sites, dtype=np.intp)
     blocked = np.ones(dim, dtype=bool)
-    blocked[slit_sites] = False
+    blocked[sites] = False
     cols = np.flatnonzero(blocked)  # the flag, grid_n, comes last
     rows = cols.copy()
-    # route one blocked mode into the absorbed flag dimension so the
-    # non-passage outcome populates the sink subspace: swap its row with
-    # the flag's
+    # route one blocked mode into the absorbed flag dimension, so the
+    # non-passage outcome populates the sink subspace: swap the two rows
     rows[[0, -1]] = rows[[-1, 0]]
     return measurement.MeasurementSystem(
         dim_s=dim, labels=("pass", "abs"),
-        routes=((slit_sites, slit_sites), (rows, cols)),
+        routes=((sites, sites), (rows, cols)),
         f={"pass": 1.0, "abs": 0.0})
 
 
@@ -573,24 +573,24 @@ def two_slit(grid_n: int = 128, p_pass=None,
     ck.residual("conditioned_passage_probability", abs(probs["pass"] - prior_p))
     rho_b = measurement.post_measurement_object(screen, rho_prior, "pass")
 
-    # the vectors the checks propagate: the gauge-fixed passed vector, each
-    # slit's normalized vector and the one-slit control
-    weights, vectors = [], [ivec.gauge_fix(psi_pass).amplitudes]
-    for a, b in slits:
-        psi_s = np.zeros(dim, dtype=complex)
+    # the vectors the checks propagate, written in place as the rows of one
+    # batch: the gauge-fixed passed vector, each slit's normalized vector
+    # and the one-slit control
+    batch = np.zeros((len(slits) + 2, dim), dtype=complex)
+    batch[0] = ivec.gauge_fix(psi_pass).amplitudes
+    weights = []
+    for psi_s, (a, b) in zip(batch[1:], slits):
         psi_s[a:b] = psi_in[a:b]
-        w = float(np.vdot(psi_s, psi_s).real)
-        weights.append(w)
-        vectors.append(psi_s / math.sqrt(w))
+        weights.append(float(np.vdot(psi_s, psi_s).real))
+        psi_s /= math.sqrt(weights[-1])
     a0, b0 = slits[0]
-    psi_one = np.zeros(dim, dtype=complex)
-    psi_one[a0:b0] = 1.0 / math.sqrt(b0 - a0)
-    vectors.append(psi_one)
+    batch[-1, a0:b0] = 1.0 / math.sqrt(b0 - a0)
     # U x for each as a column of one batched FFT, the one evolve uses: it
     # runs one plan per column, so each equals its own product bit for bit;
-    # copied out as rows, since BLAS sums a strided vector in another order
+    # the product keeps the batch's layout, so its rows come out contiguous
+    # with no copy (BLAS sums a strided vector in another order)
     u = _ring_propagator(grid_n, steps * TWO_SLIT_DT)
-    out = dynamics._product(u, np.column_stack(vectors)).T.copy()
+    out = np.ascontiguousarray(dynamics._product(u, batch.T).T)
     intensities = np.abs(out[:, :grid_n]) ** 2
 
     # coherent route: the propagated passed information vector
@@ -640,7 +640,7 @@ def two_slit(grid_n: int = 128, p_pass=None,
 
     # no-second-path control: with a single slit the operator route and
     # the information-vector route must give the same pattern
-    one_operator = dynamics.evolve(pure_iop(psi_one), u).diagonal()[:grid_n]
+    one_operator = dynamics.evolve(pure_iop(batch[-1]), u).diagonal()[:grid_n]
     one_vector = intensities[-1]
     ck.residual("one_slit_control",
                 float(np.max(np.abs(one_operator - one_vector))))

@@ -348,7 +348,7 @@ def _givens_layers(d, offsets, theta=0.7):
 
 
 BLOCKS_8X16 = [list(range(16 * b, 16 * b + 16)) for b in range(8)]
-# blocks 0 and 4 merged: one gathered group among contiguous ones
+# blocks 0 and 4 merged: groups of two sizes, so none is stacked
 MERGED = [BLOCKS_8X16[0] + BLOCKS_8X16[4], *BLOCKS_8X16[1:4], *BLOCKS_8X16[5:]]
 PLUS_MINUS = CondensationStructure.from_index_blocks(4, {"+": [0, 1], "-": [2, 3]})
 LIFTED = [list(g) for g in PLUS_MINUS.lift(4).blocks]
@@ -358,7 +358,8 @@ CAT_SWAP = np.eye(4, dtype=complex)[[2, 3, 0, 1]]
 
 class TestBlockwiseEvolve:
     """`unitary` finds the index groups U never couples, and evolve rotates
-    each on its own where that pays, bit for bit the dense product U V."""
+    their stacked blocks where that pays, else forms the dense product:
+    bit for bit U V either way."""
 
     @pytest.mark.parametrize("build, groups", [
         (lambda rng: unitary(_block_unitary(rng, BLOCKS_8X16)), BLOCKS_8X16),
@@ -371,12 +372,14 @@ class TestBlockwiseEvolve:
         (lambda rng: unitary(_givens_layers(64, [0, 1])), None),
     ], ids=["blocks-8x16", "merged", "lifted", "cat-swap", "one-zero", "banded"])
     def test_equals_the_dense_product(self, rng, monkeypatch, build, groups):
-        # with no cost per group, every partition found is used, at any d
+        # with no cost per group, every partition found is kept, at any d;
+        # only the 8 x 16 one is contiguous groups of one size, so stacked
         monkeypatch.setattr(linalg, "GROUP_COST", 0)
         u = build(rng)
         assert not u.matrix.all()
         assert (u.groups is None if groups is None
                 else [list(g) for g in u.groups] == groups)
+        assert (u.blocks is not None) == (groups is BLOCKS_8X16)
         for rho in (random_iop(rng, u.dim), random_pure(rng, u.dim)):
             out = evolve(rho, u)
             assert np.array_equal(out.spectrum.eigenvectors,
@@ -456,6 +459,8 @@ class TestBlockwiseEvolve:
 
         blockwise = UnitaryOp(dim=32, matrix=bad)
         object.__setattr__(blockwise, "groups", good.groups)
-        assert len(blockwise.groups) == 4
+        object.__setattr__(blockwise, "blocks", linalg.frozen(
+            np.stack([bad[np.ix_(g, g)] for g in good.groups])))
+        assert len(blockwise.groups) == 4 and good.blocks is not None
         assert failure(blockwise) == failure(UnitaryOp(dim=32, matrix=bad)) == (
             step, NotUnitary)

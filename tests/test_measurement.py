@@ -144,6 +144,19 @@ class TestConstruction:
         assert ms.routes[0][0].size == 0 and ms.routes[0][0].dtype == np.intp
         assert np.array_equal(ms.kraus[1], [[0, 0, 1], [0, 0, 0], [1, 0, 0]])
 
+    def test_one_array_as_rows_and_cols(self):
+        # checked and stored once, a copy of the caller's array, and
+        # rejected with the errors two arrays get
+        sites = np.array([2, 0])
+        ms = MeasurementSystem(dim_s=3, labels=("p",), routes=((sites, sites),), f={})
+        rows, cols = ms.routes[0]
+        assert rows is cols and rows is not sites and np.array_equal(rows, [2, 0])
+        for bad, error in ((np.array([1, 1]), ValueError),
+                           (np.array([0, 3]), DimensionMismatch),
+                           (np.array([0.0]), ValueError)):
+            with pytest.raises(error):
+                MeasurementSystem(dim_s=3, labels=("p",), routes=((bad, bad),), f={})
+
     @pytest.mark.parametrize("given", [{}, {"kraus": (np.eye(2),),
                                             "routes": (([0, 1], [0, 1]),)}],
                              ids=["neither", "both"])
