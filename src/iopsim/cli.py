@@ -58,16 +58,19 @@ def _parse_tols(pairs):
 
 
 def parse_slits(text):
-    """Parse slit ranges "a:b,c:d" into ((a, b), (c, d))."""
+    """Parse slit ranges "a:b,c:d" into ((a, b), (c, d)), as an argparse type.
+
+    It raises ArgumentTypeError, whose message argparse prints; argparse
+    prints its own for any ValueError, BadParameter included."""
     slits = []
     for chunk in text.split(","):
         a, sep, b = chunk.partition(":")
         if not sep:
-            raise BadParameter(f"slit range must be a:b, got {chunk!r}")
+            raise argparse.ArgumentTypeError(f"slit range must be a:b, got {chunk!r}")
         try:
             slits.append((int(a), int(b)))
         except ValueError:
-            raise BadParameter(f"non-integer slit bounds in {chunk!r}")
+            raise argparse.ArgumentTypeError(f"non-integer slit bounds in {chunk!r}")
     return tuple(slits)
 
 
@@ -237,9 +240,8 @@ def _selftest():
 
 
 def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     try:
-        # inside the try: a type such as parse_slits raises BadParameter
-        args = build_parser().parse_args(argv)
         if args.command == "run":
             return _run_scenario(args)
         if args.command == "validate":

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg
 from .condensation import CondensationStructure
-from .errors import DimensionMismatch
+from .errors import BadParameter, DimensionMismatch
 from .iop import TRACE_TOL, InfoOperator, condition, entropy, validate
 from .serialize import matrix_to_json
 
@@ -49,9 +49,9 @@ class BranchDecomposition:
     def __post_init__(self):
         bs = tuple(self.branches)
         if any(b.weight < 0 or b.residual < 0 for b in bs):
-            raise ValueError("weights and residuals must be nonnegative")
+            raise BadParameter("weights and residuals must be nonnegative")
         if bs and abs(sum(b.weight for b in bs) - 1.0) > TRACE_TOL:
-            raise ValueError("branch weights must sum to 1")
+            raise BadParameter("branch weights must sum to 1")
         object.__setattr__(self, "branches", bs)
 
     def to_json(self) -> dict:
@@ -107,7 +107,7 @@ def branch_decompose(rho_st: InfoOperator, spec: CompositeSpec) -> BranchDecompo
 def unconditional_object(b: BranchDecomposition) -> InfoOperator:
     """Weight-averaged object operator: the description ignoring the label."""
     if not b.branches:
-        raise ValueError("decomposition has no branches")
+        raise BadParameter("decomposition has no branches")
     total = sum(br.weight * br.rho_s.matrix for br in b.branches)
     return validate(total)
 

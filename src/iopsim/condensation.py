@@ -21,7 +21,8 @@ import numpy as np
 
 from . import linalg
 from .dynamics import UnitaryOp
-from .errors import DimensionMismatch, UnknownLabel, ZeroProbabilityLabel
+from .errors import (BadParameter, DimensionMismatch, UnknownLabel,
+                     ZeroProbabilityLabel)
 from .iop import InfoOperator, _from_spectrum, condition, validate
 
 BLOCK_TOL = 1e-9
@@ -36,23 +37,24 @@ class CondensationStructure:
     def __post_init__(self):
         if (isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer))
                 or self.dim < 1):
-            raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
+            raise BadParameter(f"dim must be a positive integer, got {self.dim!r}")
         labels = tuple(self.labels)
         try:
             blocks = tuple(tuple(sorted(operator.index(j) for j in g))
                            for g in self.blocks)
         except TypeError:
-            raise ValueError(f"block indices must be integers: {self.blocks!r}") from None
+            raise BadParameter(
+                f"block indices must be integers: {self.blocks!r}") from None
         if len(labels) != len(blocks) or not blocks:
-            raise ValueError("labels and blocks must be nonempty and aligned")
+            raise BadParameter("labels and blocks must be nonempty and aligned")
         if len(set(labels)) != len(labels):
-            raise ValueError("labels must be distinct")
+            raise BadParameter("labels must be distinct")
         flat = sorted(j for g in blocks for j in g)
         if flat and not 0 <= flat[0] <= flat[-1] < self.dim:
             raise DimensionMismatch(
                 f"block indices {flat[0]}..{flat[-1]} outside [0, {self.dim})")
         if flat != list(range(self.dim)):
-            raise ValueError("blocks must hold each basis index exactly once")
+            raise BadParameter("blocks must hold each basis index exactly once")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "blocks", blocks)
 

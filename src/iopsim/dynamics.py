@@ -36,19 +36,16 @@ class UnitaryOp:
     """A d x d unitary; built by `unitary`, which checks it.
 
     `defect` bounds its exact ||U^dag U - I||_F when `unitary` proved one,
-    and is None otherwise.  `groups` holds the index groups U never
-    couples when they pay (`linalg.paying_groups`): each a sorted index
-    array, with U[i, j] == 0 exactly for i and j in different groups, the
-    finest partition U leaves exactly decoupled (`linalg.index_groups`);
-    `blocks` stacks their blocks when they are contiguous and of one size.
-    Only `unitary` sets these, so a UnitaryOp built or `replace`d any
+    and is None otherwise.  `blocks` (k x s x s) stacks U's blocks on the
+    index groups it never couples (`linalg.paying_groups`) when they are
+    k contiguous groups of one size s, and `evolve` applies them to every
+    V.  Only `unitary` sets these, so a UnitaryOp built or `replace`d any
     other way holds None for each, and `evolve` checks U V densely.
     """
 
     dim: int
     matrix: np.ndarray
     defect: float | None = field(default=None, init=False)
-    groups: tuple | None = field(default=None, init=False)
     blocks: np.ndarray | None = field(default=None, init=False)
 
     def __post_init__(self):
@@ -92,14 +89,14 @@ def unitary(m) -> UnitaryOp:
     """`m` checked unitary to UNITARITY_TOL (NotUnitary otherwise).
 
     The check's bound is kept as `defect`.  When `linalg.paying_groups`
-    finds `groups`, the check forms only their blocks' Grams, exactly
-    those of U^dag U: O(sum_g |g|^3) in place of O(d^3).
+    finds groups, the check forms only their blocks' Grams, exactly those
+    of U^dag U: O(sum_g |g|^3) in place of O(d^3).  The one decision of
+    how U is applied: its stacked `blocks`, when kept, serve every V.
     """
     a = linalg.as_cmatrix(linalg.frozen(m, dtype=complex))
     d = linalg.require_square(a)
     u = UnitaryOp(dim=d, matrix=a)
     groups = linalg.paying_groups(a)
-    object.__setattr__(u, "groups", groups)
     blocks = groups and [a[np.ix_(g, g)] for g in groups]
     if groups and all(g.size == d // len(groups) and g[-1] - g[0] == g.size - 1
                       for g in groups):
@@ -131,7 +128,7 @@ def fourier_unitary(phases, dim: int) -> FourierUnitary:
 def _product(u: UnitaryOp | FourierUnitary, v: np.ndarray) -> np.ndarray:
     """U V for a d x r V, fresh and read-only: by FFT for a FourierUnitary,
     with the rows past its phases copied through; else as one matmul of
-    the stacked `u.blocks` when they pay: rows g are U[g, g] V[g].
+    the stacked `u.blocks` when `unitary` kept them: rows g are U[g, g] V[g].
 
     Row i of the dense product sums U[i, j] V[j] over every j, and the
     terms outside i's group are exact zeros, so this skips only zeros.
@@ -141,7 +138,7 @@ def _product(u: UnitaryOp | FourierUnitary, v: np.ndarray) -> np.ndarray:
         n = u.phases.size
         out = v.astype(complex)
         out[:n] = np.fft.ifft(u.phases[:, None] * np.fft.fft(v[:n], axis=0), axis=0)
-    elif u.blocks is None or not linalg._grouped_pays(u.groups, *v.shape):
+    elif u.blocks is None:
         out = u.matrix @ v
     else:
         out = np.empty(v.shape, dtype=complex)

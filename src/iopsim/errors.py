@@ -79,8 +79,8 @@ class BadSlitGeometry(IopsimError):
     pass
 
 
-class BadParameter(IopsimError):
-    pass
+class BadParameter(IopsimError, ValueError):
+    """A malformed argument: out of range, misaligned or of the wrong kind."""
 
 
 class ParseError(IopsimError):

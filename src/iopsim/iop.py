@@ -17,15 +17,9 @@ import numpy as np
 
 from . import linalg
 from .config import DIM_CAP
-from .errors import (
-    DimensionMismatch,
-    NotFinite,
-    NotPositive,
-    ResultNotIOperator,
-    SupportViolation,
-    TraceNotOne,
-    ZeroVector,
-)
+from .errors import (BadParameter, DimensionMismatch, NotFinite, NotPositive,
+                     ResultNotIOperator, SupportViolation, TraceNotOne,
+                     ZeroVector)
 
 TRACE_TOL = 1e-10
 POSITIVITY_TOL = 1e-10
@@ -129,7 +123,7 @@ def validate(m, known_defect=None) -> InfoOperator:
         if not np.isfinite(w).all():
             raise NotFinite("eigenvalues contain NaN or Inf")
         if (w[1:] < w[:-1]).any():
-            raise ValueError("eigenvalues must be in ascending order")
+            raise BadParameter("eigenvalues must be in ascending order")
         defect, a = linalg.checked_isometry(v, known_defect), None
     else:
         a = linalg.hermitian(m)
@@ -172,7 +166,7 @@ def _from_spectrum(w, v) -> np.ndarray:
 def max_iop(d: int) -> InfoOperator:
     """The maximum i-operator (1/d) I; it describes every d-dim system."""
     if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+        raise BadParameter(f"dimension must be >= 1, got {d}")
     spectrum = linalg.HermEigen(np.full(d, 1.0 / d), np.eye(d, dtype=complex))
     return InfoOperator(dim=d, spectrum=spectrum,
                         known_matrix=np.eye(d, dtype=complex) / d,
@@ -294,11 +288,11 @@ class Mixture:
         ws = tuple(float(w) for w in self.weights)
         comps = tuple(self.components)
         if len(ws) != len(comps) or not comps:
-            raise ValueError("weights and components must be nonempty and aligned")
+            raise BadParameter("weights and components must be nonempty and aligned")
         if any(w <= 0 for w in ws):
-            raise ValueError("all mixture weights must be positive")
+            raise BadParameter("all mixture weights must be positive")
         if abs(sum(ws) - 1.0) > TRACE_TOL:  # tr sum_i p_i rho_i = sum_i p_i
-            raise ValueError(f"weights sum to {sum(ws)!r}, not 1")
+            raise BadParameter(f"weights sum to {sum(ws)!r}, not 1")
         dims = {c.dim for c in comps}
         if len(dims) != 1:
             raise DimensionMismatch(f"components have mixed dims {sorted(dims)}")

@@ -15,20 +15,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import DIM_CAP, get_hbar
-from .errors import (
-    DimensionMismatch,
-    NoConvergence,
-    NotFinite,
-    NotHermitian,
-    NotUnitary,
-)
+from .errors import (BadParameter, DimensionMismatch, NoConvergence,
+                     NotFinite, NotHermitian, NotUnitary)
 
 HERMITICITY_TOL = 1e-10
 UNITARITY_TOL = 1e-9  # bound on ||V^dag V - I|| for unitaries and isometries
 UNIT_ROUNDOFF = 2.0 ** -53  # float64, round to nearest
 # what one index group's kernel calls cost in numpy call overhead beyond
-# their arithmetic, in complex multiply-adds: fit to U V timed per group
-# and dense for d = 32-256 and groups of 1-128 indices (README, Conventions)
+# their arithmetic, in complex multiply-adds; it gates grouped eigh, block
+# Grams and row scans (README, Conventions, times them against dense)
 GROUP_COST = 100_000
 
 
@@ -105,19 +100,18 @@ def index_groups(a: np.ndarray) -> tuple | None:
     return tuple(groups)
 
 
-def _grouped_pays(groups, d: int, r: int) -> bool:
-    """Whether a kernel on a d x d matrix and a d x r V costs less one
-    index group at a time: the dense product's d^2 r multiply-adds
-    against sum_g |g|^2 r and a GROUP_COST per group."""
-    return len(groups) * GROUP_COST < (d * d - sum(g.size ** 2 for g in groups)) * r
-
-
 def paying_groups(a: np.ndarray) -> tuple | None:
-    """The `index_groups` of a square `a` if they pay for a square V, else
-    None; none can pay while d^3 <= 2 GROUP_COST, so none is read."""
+    """The `index_groups` of a square `a` when its kernels cost less one
+    group at a time, else None: the one cost test of grouped `eigh`,
+    block Grams and stacked products.  k groups pay when k GROUP_COST is
+    under the (d^2 - sum_g |g|^2) d multiply-adds they spare against a
+    square V; none can pay while d^3 <= 2 GROUP_COST, so none is read."""
     d = len(a)
     groups = index_groups(a) if d ** 3 > 2 * GROUP_COST else None
-    return groups if groups is not None and _grouped_pays(groups, d, d) else None
+    if groups is None:
+        return None
+    spared = (d * d - sum(g.size ** 2 for g in groups)) * d
+    return groups if len(groups) * GROUP_COST < spared else None
 
 
 def hermiticity_defect(a: np.ndarray) -> float:
@@ -193,7 +187,7 @@ def partial_trace(ab, dim_a: int, dim_b: int, over: str) -> np.ndarray:
         return np.einsum("ijil->jl", t)
     if over == "B":
         return np.einsum("ijkj->ik", t)
-    raise ValueError(f"over must be 'A' or 'B', got {over!r}")
+    raise BadParameter(f"over must be 'A' or 'B', got {over!r}")
 
 
 def frobenius_dist(a, b) -> float:

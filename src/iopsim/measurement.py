@@ -21,13 +21,8 @@ import numpy as np
 
 from . import linalg
 from .config import DIM_CAP
-from .errors import (
-    DimensionMismatch,
-    NotDefinitive,
-    NotFinite,
-    UnknownLabel,
-    ZeroProbabilityOutcome,
-)
+from .errors import (BadParameter, DimensionMismatch, NotDefinitive,
+                     NotFinite, UnknownLabel, ZeroProbabilityOutcome)
 from .iop import InfoOperator, condition, validate
 
 IMAG_RESIDUE_TOL = 1e-10
@@ -50,11 +45,12 @@ class MeasurementSystem:
     def __init__(self, dim_s, labels, kraus=None, f=None, routes=None):
         labels = tuple(labels)
         if (kraus is None) == (routes is None):
-            raise ValueError("give either Kraus operators or routes")
+            raise BadParameter("give either Kraus operators or routes")
         if len(labels) != len(kraus if routes is None else routes) or not labels:
-            raise ValueError("labels and Kraus operators must be nonempty and aligned")
+            raise BadParameter(
+                "labels and Kraus operators must be nonempty and aligned")
         if len(set(labels)) != len(labels):
-            raise ValueError("labels must be distinct")
+            raise BadParameter("labels must be distinct")
         if dim_s > DIM_CAP:
             raise DimensionMismatch(f"dimension {dim_s} exceeds cap {DIM_CAP}")
         if routes is None:
@@ -101,15 +97,15 @@ def _route(pair, dim: int) -> tuple:
     One array given as both rows and cols is checked and stored once."""
     route = tuple(np.asarray(a) for a in pair)
     if len(route) != 2 or route[0].ndim != 1 or route[0].shape != route[1].shape:
-        raise ValueError("a route is a pair of 1-D index arrays of one length")
+        raise BadParameter("a route is a pair of 1-D index arrays of one length")
     distinct = route[:1] if route[1] is route[0] else route
     for a in distinct:
         if a.size and a.dtype.kind not in "iu":
-            raise ValueError(f"route indices must be integers, got {a.dtype}")
+            raise BadParameter(f"route indices must be integers, got {a.dtype}")
         if a.size and not 0 <= a.min() <= a.max() < dim:
             raise DimensionMismatch(f"route index outside [0, {dim})")
         if a.size and np.bincount(a.astype(np.intp, copy=False)).max() > 1:
-            raise ValueError("a route repeats an index within one label")
+            raise BadParameter("a route repeats an index within one label")
     stored = [linalg.frozen(a, dtype=np.intp) for a in distinct]
     return stored[0], stored[-1]
 
@@ -204,7 +200,7 @@ def expectation(obs: Observable, rho: InfoOperator) -> float:
         )
     value = complex(np.trace(obs.matrix @ rho.matrix))
     if abs(value.imag) > IMAG_RESIDUE_TOL:
-        raise ValueError(f"expectation has imaginary residue {value.imag:.3e}")
+        raise BadParameter(f"expectation has imaginary residue {value.imag:.3e}")
     return float(value.real)
 
 
@@ -218,7 +214,7 @@ def estimate_probabilities(ms: MeasurementSystem, rho: InfoOperator,
     if not is_definitive(ms):
         raise NotDefinitive(f"completeness defect {completeness_defect(ms):.3e}")
     if n < 1:
-        raise ValueError(f"sample count must be positive, got {n}")
+        raise BadParameter(f"sample count must be positive, got {n}")
     probs = outcome_probabilities(ms, rho)
     p = np.clip(np.array([v for _, v in probs]), 0.0, None)
     p = p / p.sum()

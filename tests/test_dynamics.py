@@ -358,8 +358,8 @@ CAT_SWAP = np.eye(4, dtype=complex)[[2, 3, 0, 1]]
 
 class TestBlockwiseEvolve:
     """`unitary` finds the index groups U never couples, and evolve rotates
-    their stacked blocks where that pays, else forms the dense product:
-    bit for bit U V either way."""
+    their stacked blocks whenever it kept them, else forms the dense
+    product: bit for bit U V either way."""
 
     @pytest.mark.parametrize("build, groups", [
         (lambda rng: unitary(_block_unitary(rng, BLOCKS_8X16)), BLOCKS_8X16),
@@ -377,8 +377,9 @@ class TestBlockwiseEvolve:
         monkeypatch.setattr(linalg, "GROUP_COST", 0)
         u = build(rng)
         assert not u.matrix.all()
-        assert (u.groups is None if groups is None
-                else [list(g) for g in u.groups] == groups)
+        found = linalg.paying_groups(u.matrix)
+        assert (found is None if groups is None
+                else [list(g) for g in found] == groups)
         assert (u.blocks is not None) == (groups is BLOCKS_8X16)
         for rho in (random_iop(rng, u.dim), random_pure(rng, u.dim)):
             out = evolve(rho, u)
@@ -387,16 +388,25 @@ class TestBlockwiseEvolve:
 
     def test_groups_are_kept_where_they_pay(self, rng):
         # below d^3 = 2 GROUP_COST no pattern is read; a partition is kept
-        # when it pays for a square V, and used when it pays for this V
+        # when it pays for a square V
         for groups in (BLOCKS_8X16, LIFTED_128):
             u = unitary(_block_unitary(rng, groups))
-            assert [list(g) for g in u.groups] == groups
-            assert linalg._grouped_pays(u.groups, 128, 128)
-            assert not linalg._grouped_pays(u.groups, 128, 1)
+            assert [list(g) for g in linalg.paying_groups(u.matrix)] == groups
         for small in (_block_unitary(rng, LIFTED), CAT_SWAP):
-            assert unitary(small).groups is None
+            assert linalg.paying_groups(unitary(small).matrix) is None
         # 64 groups of 2 cost more than the dense product
-        assert unitary(_givens_layers(128, [0])).groups is None
+        assert linalg.paying_groups(unitary(_givens_layers(128, [0])).matrix) is None
+
+    def test_stacked_blocks_serve_a_thin_v(self, rng):
+        # `unitary` alone decides the route: once it stacks the blocks,
+        # a pure state (r = 1) is rotated by them and never reads U's
+        # matrix, which is made all NaN here
+        a = _block_unitary(rng, BLOCKS_8X16)
+        u = unitary(a)
+        object.__setattr__(u, "matrix", np.full_like(a, np.nan))
+        rho = random_pure(rng, 128)
+        out = evolve(rho, u)
+        assert np.array_equal(out.spectrum.eigenvectors, a @ rho.spectrum.eigenvectors)
 
     @pytest.mark.parametrize("factor", [0.3, 0.9, 0.99, 1.01, 1.1, 3.0])
     def test_grouped_check_gives_the_dense_verdict(self, rng, factor):
@@ -415,17 +425,17 @@ class TestBlockwiseEvolve:
                 unitary(bad)
         else:
             u = unitary(bad)
-            assert u.groups is not None and u.defect >= dense
+            assert linalg.paying_groups(u.matrix) is not None and u.defect >= dense
 
     def test_zero_free_unitary_has_no_groups(self, rng):
-        assert random_unitary(rng, 64).groups is None
+        assert linalg.paying_groups(random_unitary(rng, 64).matrix) is None
 
     def test_only_unitary_sets_groups_and_bound(self, rng):
         u = unitary(_block_unitary(rng, BLOCKS_8X16))
         moved = dataclasses.replace(u, matrix=random_unitary(rng, 128).matrix)
-        assert moved.groups is None and moved.defect is None
+        assert moved.blocks is None and moved.defect is None
         with pytest.raises(TypeError):
-            UnitaryOp(dim=128, matrix=u.matrix, groups=u.groups)
+            UnitaryOp(dim=128, matrix=u.matrix, blocks=u.blocks)
 
     @pytest.mark.parametrize("thin, step", [(False, 1), (True, 2)],
                              ids=["max-iop", "pair"])
@@ -458,9 +468,9 @@ class TestBlockwiseEvolve:
             return None
 
         blockwise = UnitaryOp(dim=32, matrix=bad)
-        object.__setattr__(blockwise, "groups", good.groups)
+        found = linalg.paying_groups(good.matrix)
         object.__setattr__(blockwise, "blocks", linalg.frozen(
-            np.stack([bad[np.ix_(g, g)] for g in good.groups])))
-        assert len(blockwise.groups) == 4 and good.blocks is not None
+            np.stack([bad[np.ix_(g, g)] for g in found])))
+        assert len(found) == 4 and good.blocks is not None
         assert failure(blockwise) == failure(UnitaryOp(dim=32, matrix=bad)) == (
             step, NotUnitary)

@@ -13,6 +13,7 @@ one, and every private one has a caller in the library.
 """
 
 import ast
+import builtins
 import importlib
 import inspect
 import os
@@ -106,6 +107,23 @@ def test_thresholds_are_module_constants():
                     if "e" in source.lower():
                         literals.add(f"{path.name}:{node.lineno}: {source}")
     assert sorted(literals) == []
+
+
+def test_library_raises_no_bare_builtin_exception():
+    # the library raises its own IopsimErrors (a malformed argument's
+    # BadParameter is also a ValueError), so a caller catches them as one
+    # family; of the built-ins only SystemExit, which ends the CLI
+    bare = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            cls = getattr(builtins, getattr(exc, "id", ""), None)
+            if (isinstance(cls, type) and issubclass(cls, BaseException)
+                    and cls is not SystemExit):
+                bare.append(f"{path.name}:{node.lineno}: {cls.__name__}")
+    assert bare == []
 
 
 def test_readme_names_every_tolerance_constant():
