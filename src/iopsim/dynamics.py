@@ -7,6 +7,7 @@ equation of motion i hbar d(rho)/dt = [H, rho].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -18,22 +19,21 @@ from .errors import (BadParameter, DimensionMismatch, InsufficientPoints,
                      NotFinite, NotUnitary)
 from .iop import InfoOperator, validate
 
-TIME_SPACING_RTOL = 1e-9  # np.allclose bounds on uneven trajectory time steps
-TIME_SPACING_ATOL = 1e-12
-
 
 @dataclass(frozen=True)
 class HamiltonianOp:
-    dim: int
+    """A Hermitian H, checked by `linalg.hermitian`, then symmetrized."""
+
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", linalg.frozen(self.matrix))
+        a = linalg.hermitian(self.matrix)
+        object.__setattr__(self, "matrix", linalg.frozen((a + a.conj().T) / 2))
 
 
 @dataclass(frozen=True)
 class UnitaryOp:
-    """A d x d unitary; built by `unitary`, which checks it.
+    """A square matrix, of size `dim`; built by `unitary`, which checks it unitary.
 
     `defect` bounds its exact ||U^dag U - I||_F when `unitary` proved one,
     and is None otherwise.  `blocks` (k x s x s) stacks U's blocks on the
@@ -43,13 +43,17 @@ class UnitaryOp:
     other way holds None for each, and `evolve` checks U V densely.
     """
 
-    dim: int
     matrix: np.ndarray
     defect: float | None = field(default=None, init=False)
     blocks: np.ndarray | None = field(default=None, init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", linalg.frozen(self.matrix))
+        linalg.require_square(self.matrix)
+
+    @property
+    def dim(self) -> int:
+        return len(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -80,11 +84,6 @@ class FourierUnitary:
         return a
 
 
-def hamiltonian(m) -> HamiltonianOp:
-    a = linalg.hermitian(m)
-    return HamiltonianOp(dim=a.shape[0], matrix=(a + a.conj().T) / 2)
-
-
 def unitary(m) -> UnitaryOp:
     """`m` checked unitary to UNITARITY_TOL (NotUnitary otherwise).
 
@@ -94,11 +93,10 @@ def unitary(m) -> UnitaryOp:
     how U is applied: its stacked `blocks`, when kept, serve every V.
     """
     a = linalg.as_cmatrix(linalg.frozen(m, dtype=complex))
-    d = linalg.require_square(a)
-    u = UnitaryOp(dim=d, matrix=a)
+    u = UnitaryOp(matrix=a)
     groups = linalg.paying_groups(a)
     blocks = groups and [a[np.ix_(g, g)] for g in groups]
-    if groups and all(g.size == d // len(groups) and g[-1] - g[0] == g.size - 1
+    if groups and all(g.size == u.dim // len(groups) and g[-1] - g[0] == g.size - 1
                       for g in groups):
         object.__setattr__(u, "blocks", linalg.frozen(np.stack(blocks)))
     object.__setattr__(u, "defect", linalg.checked_isometry(
@@ -171,36 +169,29 @@ def evolve(rho: InfoOperator, u: UnitaryOp | FourierUnitary) -> InfoOperator:
 
 
 def propagator(h: HamiltonianOp, t0: float, t1: float) -> UnitaryOp:
-    """exp(-i (t1 - t0) H / hbar).  t1 < t0 gives reverse-time development."""
-    return unitary(linalg.mat_exp_herm_generator(h.matrix, t1 - t0))
+    """exp(-i (t1 - t0) H / hbar), as (V exp(-i t w / hbar)) V^dag from one
+    `linalg.eigh` of the H that `HamiltonianOp` checked: computed
+    spectrally rather than by series, so it is unitary up to roundoff.
+    t1 < t0 gives reverse-time development."""
+    w, v = linalg.eigh(h.matrix)
+    phases = np.exp(-1j * (t1 - t0) * w / get_hbar())
+    return unitary((v * phases) @ v.conj().T)
 
 
-def motion_residual(h: HamiltonianOp, rho_traj) -> float:
-    """Max deviation of a trajectory from the equation of motion.
+def motion_residual(h: HamiltonianOp, rhos, dt: float) -> float:
+    """Max deviation from the equation of motion of operators sampled
+    every `dt`.
 
-    Uses central differences at interior points, so trajectories generated
+    Uses central differences at interior points, so samples generated
     by the propagator show an O(dt^2) residual, while a discontinuous jump
     shows up as O(1/dt).
     """
-    traj = list(rho_traj)
-    if len(traj) < 3:
-        raise InsufficientPoints(f"need >= 3 points, got {len(traj)}")
-    times = np.array([t for t, _ in traj], dtype=float)
-    dts = np.diff(times)
-    if np.any(dts <= 0):
-        raise BadParameter("trajectory times must be strictly increasing")
-    if not np.allclose(dts, dts[0], rtol=TIME_SPACING_RTOL,
-                       atol=TIME_SPACING_ATOL):
-        raise BadParameter("trajectory times must be uniformly spaced")
-    dt = float(dts[0])
-    hbar = get_hbar()
-    hm = h.matrix
-    worst = 0.0
-    for i in range(1, len(traj) - 1):
-        prev = traj[i - 1][1].matrix
-        here = traj[i][1].matrix
-        nxt = traj[i + 1][1].matrix
-        deriv = (nxt - prev) / (2 * dt)
-        commutator = hm @ here - here @ hm
-        worst = max(worst, float(np.linalg.norm(1j * hbar * deriv - commutator)))
-    return worst
+    if not (dt > 0 and math.isfinite(dt)):
+        raise BadParameter(f"time step must be positive and finite, got {dt}")
+    mats = [rho.matrix for rho in rhos]
+    if len(mats) < 3:
+        raise InsufficientPoints(f"need >= 3 points, got {len(mats)}")
+    hm, hbar = h.matrix, get_hbar()
+    return max(float(np.linalg.norm(1j * hbar * (nxt - prev) / (2 * dt)
+                                    - (hm @ here - here @ hm)))
+               for prev, here, nxt in zip(mats, mats[1:], mats[2:]))

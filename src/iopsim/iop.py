@@ -100,19 +100,19 @@ def validate(m, known_defect=None) -> InfoOperator:
     trace of the operator returned: an unclamped matrix keeps its own, and
     any other is sum_i w_i |v_i|^2 with its matrix built on first read.  A
     spectral form needs no eigensolver: its eigenvalues must be finite and
-    ascending, one per column of V (DIM_CAP rows at most, no fewer than
-    columns), whose columns `linalg.checked_isometry` checks orthonormal;
-    `known_defect`, a bound on their ||V^dag V - I||_F that the caller
-    proved (`dynamics.evolve` carries one), spares the dense check unless
-    it cannot settle UNITARITY_TOL.  A matrix's `linalg.paying_groups` are
-    diagonalized one by one, with a bound.
+    ascending, one per column of V (at least one column, DIM_CAP rows at
+    most, no fewer than columns), whose columns `linalg.checked_isometry`
+    checks orthonormal; `known_defect`, a bound on their ||V^dag V - I||_F
+    that the caller proved (`dynamics.evolve` carries one), spares the
+    dense check unless it cannot settle UNITARITY_TOL.  A matrix's
+    `linalg.paying_groups` are diagonalized one by one, with a bound.
     """
     defect = moduli = diagonal = None
     if isinstance(m, linalg.HermEigen):
         w = np.asarray(m.eigenvalues, dtype=float)
         v = np.asarray(m.eigenvectors, dtype=complex)
         if (w.ndim != 1 or v.ndim != 2 or w.size != v.shape[1]
-                or not w.size <= v.shape[0] <= DIM_CAP):
+                or not 1 <= w.size <= v.shape[0] <= DIM_CAP):
             raise DimensionMismatch(
                 f"{np.shape(w)} eigenvalues for eigenvectors of shape {v.shape}")
         # V is read once, for |V|^2: a sum of nonnegative terms, finite
@@ -167,6 +167,8 @@ def max_iop(d: int) -> InfoOperator:
     """The maximum i-operator (1/d) I; it describes every d-dim system."""
     if d < 1:
         raise BadParameter(f"dimension must be >= 1, got {d}")
+    if d > DIM_CAP:
+        raise DimensionMismatch(f"dimension {d} exceeds cap {DIM_CAP}")
     spectrum = linalg.HermEigen(np.full(d, 1.0 / d), np.eye(d, dtype=complex))
     return InfoOperator(dim=d, spectrum=spectrum,
                         known_matrix=np.eye(d, dtype=complex) / d,
@@ -177,6 +179,8 @@ def unit_vector(psi) -> np.ndarray:
     """psi / ||psi|| for a nonzero finite psi, first scaled exactly by the
     power of two that takes its top modulus into [1/2, 1): nothing underflows."""
     v = np.asarray(psi, dtype=complex).ravel()
+    if v.size > DIM_CAP:
+        raise DimensionMismatch(f"dimension {v.size} exceeds cap {DIM_CAP}")
     top = float(np.abs(v).max(initial=0.0))
     if not math.isfinite(top):
         raise NotFinite(f"vector entry of modulus {top} is not finite")

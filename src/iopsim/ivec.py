@@ -21,7 +21,6 @@ GAUGE_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class InfoVector:
-    dim: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
@@ -32,7 +31,7 @@ def gauge_fix(amplitudes) -> InfoVector:
     """Normalize and rotate so the first component above the floor is real > 0."""
     v = unit_vector(amplitudes)
     pivot = v[np.flatnonzero(np.abs(v) > GAUGE_FLOOR)[0]]
-    return InfoVector(dim=v.size, amplitudes=v * (abs(pivot) / pivot))
+    return InfoVector(amplitudes=v * (abs(pivot) / pivot))
 
 
 def to_iop(v: InfoVector) -> InfoOperator:

@@ -1,8 +1,7 @@
 """Dense complex-matrix substrate.
 
 Everything above this module is expressed through a handful of primitives:
-Hermitian eigendecomposition, the matrix exponential of a Hermitian
-generator, partial traces and Frobenius distances.
+Hermitian eigendecomposition, partial traces and Frobenius distances.
 Matrices are plain complex numpy arrays; helpers here validate shape and
 finiteness at the entry points.
 """
@@ -14,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import DIM_CAP, get_hbar
+from .config import DIM_CAP
 from .errors import (BadParameter, DimensionMismatch, NoConvergence,
                      NotFinite, NotHermitian, NotUnitary)
 
@@ -67,8 +66,8 @@ def frozen(entries, dtype=None) -> np.ndarray:
 
 
 def require_square(a: np.ndarray) -> int:
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        raise DimensionMismatch(f"expected a nonempty square matrix, got shape {a.shape}")
     return a.shape[0]
 
 
@@ -160,17 +159,6 @@ def grouped_eigh(blocks, groups, dim: int):
         v[np.ix_(g, cols)] = q
     bound = math.sqrt(sum(checked_isometry(q) ** 2 for _, q in spectra))
     return HermEigen(w[order], v), bound
-
-
-def mat_exp_herm_generator(h, t: float) -> np.ndarray:
-    """exp(-i t h / hbar) for Hermitian h, via eigendecomposition.
-
-    Computed spectrally rather than by series so the result is unitary
-    up to roundoff.
-    """
-    w, v = eigh(hermitian(h))
-    phases = np.exp(-1j * t * w / get_hbar())
-    return (v * phases) @ v.conj().T
 
 
 def partial_trace(ab, dim_a: int, dim_b: int, over: str) -> np.ndarray:

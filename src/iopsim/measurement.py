@@ -14,6 +14,8 @@ rather than sharing one stream.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -63,6 +65,9 @@ class MeasurementSystem:
             self.__dict__["kraus"] = stack
         else:
             routes = tuple(_route(pair, dim_s) for pair in routes)
+        if f and not all(isinstance(f.get(m), numbers.Real) and math.isfinite(f[m])
+                         for m in labels):
+            raise BadParameter(f"f must give each label a finite real value, got {f!r}")
         fmap = {m: float(f[m]) for m in labels} if f else {}
         vars(self).update(dim_s=dim_s, labels=labels, f=fmap, routes=routes)
 
@@ -76,7 +81,9 @@ class MeasurementSystem:
     def projective(cls, projectors: dict, f=None) -> "MeasurementSystem":
         """Measurement from an orthonormal projector family, label -> P."""
         labels = tuple(projectors)
-        dim = linalg.require_square(linalg.as_cmatrix(next(iter(projectors.values()))))
+        if not labels:
+            raise BadParameter("a projective measurement needs a projector")
+        dim = linalg.require_square(linalg.as_cmatrix(projectors[labels[0]]))
         fmap = f if f is not None else {m: float(i) for i, m in enumerate(labels)}
         return cls(dim_s=dim, labels=labels,
                    kraus=tuple(projectors[m] for m in labels), f=fmap)
@@ -186,6 +193,8 @@ def observable(ms: MeasurementSystem) -> Observable:
     """
     if not is_definitive(ms):
         raise NotDefinitive(f"completeness defect {completeness_defect(ms):.3e}")
+    if not ms.f:
+        raise BadParameter("the measurement system has no scale values")
     rows = ms.kraus.reshape(-1, ms.dim_s)
     f = np.repeat([ms.f[m] for m in ms.labels], ms.dim_s)
     total = (rows.conj().T * f) @ rows
@@ -213,8 +222,10 @@ def estimate_probabilities(ms: MeasurementSystem, rho: InfoOperator,
     """
     if not is_definitive(ms):
         raise NotDefinitive(f"completeness defect {completeness_defect(ms):.3e}")
-    if n < 1:
-        raise BadParameter(f"sample count must be positive, got {n}")
+    if not 1 <= n <= np.iinfo(np.int64).max:  # multinomial takes an int64
+        raise BadParameter(f"sample count must be in [1, 2**63 - 1], got {n}")
+    if seed < 0:
+        raise BadParameter(f"seed must be nonnegative, got {seed}")
     probs = outcome_probabilities(ms, rho)
     p = np.clip(np.array([v for _, v in probs]), 0.0, None)
     p = p / p.sum()

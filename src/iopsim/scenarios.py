@@ -279,7 +279,7 @@ def cat(p_plus: float = 0.3, steps: int = 20, tol_overrides=None) -> ScenarioRep
     h = np.zeros((4, 4), dtype=complex)
     h[:2, :2] = _CAT_H_PLUS
     h[2:, 2:] = _CAT_H_MINUS
-    ham = dynamics.hamiltonian(h)
+    ham = dynamics.HamiltonianOp(h)
     u_step = dynamics.propagator(ham, 0.0, _CAT_DT)
 
     rho_plus = pure_iop([1, 1, 0, 0])
@@ -300,24 +300,20 @@ def cat(p_plus: float = 0.3, steps: int = 20, tol_overrides=None) -> ScenarioRep
 
     live_labels = [m for m, p in initial.items() if p > ZERO_WEIGHT_FLOOR]
     u_total = dynamics.propagator(ham, 0.0, steps * _CAT_DT)
-    commute_residual = 0.0
-    for m in live_labels:
-        conditioned_then_evolved = dynamics.evolve(
-            condensation.condition_on_label(rho, structure, m), u_total)
-        evolved_then_conditioned = condensation.condition_on_label(
-            current, structure, m)
-        commute_residual = max(commute_residual, linalg.frobenius_dist(
-            conditioned_then_evolved.matrix, evolved_then_conditioned.matrix))
-    report.residual("conditioning_commutes", commute_residual)
-
-    # Multiple description: each conditioned component stays a contraction
-    # of the evolving mixture, so both descriptions hold at once.
-    contraction_residual = 0.0
+    # Multiple description: each component conditioned after the evolution
+    # is that before it, evolved, and stays a contraction of the evolving
+    # mixture, so both descriptions hold at once.
+    commute_residual = contraction_residual = 0.0
     for m in live_labels:
         part = condensation.condition_on_label(current, structure, m)
+        conditioned_then_evolved = dynamics.evolve(
+            condensation.condition_on_label(rho, structure, m), u_total)
+        commute_residual = max(commute_residual, linalg.frobenius_dist(
+            conditioned_then_evolved.matrix, part.matrix))
         k = contraction_from_mixture(current, part)
         contraction_residual = max(contraction_residual, linalg.frobenius_dist(
             contract(current, k).matrix, part.matrix))
+    report.residual("conditioning_commutes", commute_residual)
     report.residual("component_is_contraction", contraction_residual)
 
     # Negative control: a cross-subspace superposition is not condensed,

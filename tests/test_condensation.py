@@ -41,7 +41,7 @@ def block_diag_unitary(rng, sizes):
         u[offset:offset + size, offset:offset + size] = \
             random_unitary(rng, size).matrix
         offset += size
-    return UnitaryOp(dim=dim, matrix=u)
+    return UnitaryOp(matrix=u)
 
 
 class TestStructureValidation:
@@ -143,7 +143,7 @@ class TestBlockBasis:
             idx = [j for g, h in zip(c.blocks, groups) if h == tag for j in g]
             if idx:
                 u[np.ix_(idx, idx)] = random_unitary(rng, len(idx)).matrix
-        u = UnitaryOp(dim=c.dim, matrix=u)
+        u = UnitaryOp(matrix=u)
         oracle = sandwich_coupling(u, c)
         off = oracle[~np.eye(len(c.blocks), dtype=bool)]
         # keep every coupling well away from the threshold
@@ -311,12 +311,12 @@ class TestCondensedForm:
 class TestRespectsCondensation:
     def test_identity(self, structure):
         assert respects_condensation(
-            UnitaryOp(dim=4, matrix=np.eye(4, dtype=complex)), structure)
+            UnitaryOp(matrix=np.eye(4, dtype=complex)), structure)
 
     def test_swap_false(self, structure):
         swap = np.zeros((4, 4), dtype=complex)
         swap[0, 2] = swap[2, 0] = swap[1, 3] = swap[3, 1] = 1.0
-        assert not respects_condensation(UnitaryOp(dim=4, matrix=swap), structure)
+        assert not respects_condensation(UnitaryOp(matrix=swap), structure)
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
@@ -378,7 +378,7 @@ class TestFinestStructure:
             g[2 * j + 1, 2 * j + 2], g[2 * j + 2, 2 * j + 1] = -math.sin(0.3), math.sin(0.3)
             u = g @ u
         for matrix in (u, np.eye(2 * k) + np.eye(2 * k, k=1)):
-            op = UnitaryOp(dim=2 * k, matrix=matrix.astype(complex))
+            op = UnitaryOp(matrix=matrix.astype(complex))
             labels, _ = sandwich_finest(op, c)
             assert finest_respected_structure(op, c).labels == labels
             assert len(labels) == 1

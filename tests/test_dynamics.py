@@ -14,7 +14,6 @@ from iopsim.dynamics import (
     UnitaryOp,
     evolve,
     fourier_unitary,
-    hamiltonian,
     motion_residual,
     propagator,
     unitary,
@@ -36,7 +35,7 @@ from conftest import random_hermitian, random_iop, random_pure, random_unitary
 class TestEvolve:
     def test_identity_unitary(self, rng):
         rho = random_iop(rng, 3)
-        out = evolve(rho, UnitaryOp(dim=3, matrix=np.eye(3, dtype=complex)))
+        out = evolve(rho, UnitaryOp(matrix=np.eye(3, dtype=complex)))
         np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-12)
 
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 8))
@@ -59,17 +58,17 @@ class TestEvolve:
 
 class TestPropagator:
     def test_zero_interval(self, rng):
-        h = hamiltonian(random_hermitian(rng, 3))
+        h = HamiltonianOp(random_hermitian(rng, 3))
         u = propagator(h, 1.5, 1.5)
         np.testing.assert_allclose(u.matrix, np.eye(3), atol=1e-12)
 
     def test_eigenphases(self):
         with hbar(1.0):
-            u = propagator(hamiltonian(np.diag([math.pi, 0.0])), 0.0, 1.0)
+            u = propagator(HamiltonianOp(np.diag([math.pi, 0.0])), 0.0, 1.0)
         np.testing.assert_allclose(u.matrix, np.diag([-1.0, 1.0]), atol=1e-12)
 
     def test_reverse_is_adjoint(self, rng):
-        h = hamiltonian(random_hermitian(rng, 4))
+        h = HamiltonianOp(random_hermitian(rng, 4))
         fwd = propagator(h, 0.0, 0.7)
         back = propagator(h, 0.7, 0.0)
         assert linalg.frobenius_dist(back.matrix, fwd.matrix.conj().T) <= 1e-10
@@ -78,7 +77,7 @@ class TestPropagator:
     @settings(max_examples=30, deadline=None)
     def test_composition(self, seed):
         rng = np.random.default_rng(seed)
-        h = hamiltonian(random_hermitian(rng, 4))
+        h = HamiltonianOp(random_hermitian(rng, 4))
         t0, t1, t2 = np.sort(rng.normal(size=3))
         whole = propagator(h, t0, t2)
         split = propagator(h, t1, t2).matrix @ propagator(h, t0, t1).matrix
@@ -86,55 +85,47 @@ class TestPropagator:
 
     @pytest.mark.parametrize("eps", [1e-3, 1e-6])
     def test_continuity_at_small_times(self, rng, eps):
-        h = hamiltonian(random_hermitian(rng, 4))
+        h = HamiltonianOp(random_hermitian(rng, 4))
         u = propagator(h, 0.0, eps)
         assert linalg.unitarity_defect(u.matrix) <= 1e-10
         assert np.linalg.norm(u.matrix - np.eye(4)) <= 2 * eps * np.linalg.norm(h.matrix)
 
 
 class TestMotionResidual:
-    def _trajectory(self, h, rho0, dt, n):
-        states = [(k * dt, evolve(rho0, propagator(h, 0.0, k * dt)))
-                  for k in range(n)]
-        return states
+    def _samples(self, h, rho0, dt, n):
+        return [evolve(rho0, propagator(h, 0.0, k * dt)) for k in range(n)]
 
     def test_stationary_commuting_state(self):
-        h = hamiltonian(np.diag([1.0, 2.0]))
-        rho = max_iop(2)
-        traj = [(0.0, rho), (0.1, rho), (0.2, rho)]
-        assert motion_residual(h, traj) <= 1e-10
+        h = HamiltonianOp(np.diag([1.0, 2.0]))
+        assert motion_residual(h, [max_iop(2)] * 3, 0.1) <= 1e-10
 
     def test_second_order_convergence(self, rng):
-        h = hamiltonian(random_hermitian(rng, 3))
+        h = HamiltonianOp(random_hermitian(rng, 3))
         rho0 = random_iop(rng, 3)
-        r_coarse = motion_residual(h, self._trajectory(h, rho0, 0.02, 9))
-        r_fine = motion_residual(h, self._trajectory(h, rho0, 0.01, 17))
+        r_coarse = motion_residual(h, self._samples(h, rho0, 0.02, 9), 0.02)
+        r_fine = motion_residual(h, self._samples(h, rho0, 0.01, 17), 0.01)
         assert r_fine <= r_coarse / 3.0  # ~4x for halved step
 
     def test_jump_flagged(self, rng):
-        h = hamiltonian(random_hermitian(rng, 3))
+        h = HamiltonianOp(random_hermitian(rng, 3))
         rho0 = random_iop(rng, 3)
         dt = 0.01
-        traj = self._trajectory(h, rho0, dt, 9)
-        jumped = random_iop(np.random.default_rng(99), 3)
-        traj[4] = (traj[4][0], jumped)
-        smooth = motion_residual(h, self._trajectory(h, rho0, dt, 9))
-        assert motion_residual(h, traj) > 100 * max(smooth, 1e-6)
+        samples = self._samples(h, rho0, dt, 9)
+        smooth = motion_residual(h, samples, dt)
+        samples[4] = random_iop(np.random.default_rng(99), 3)
+        assert motion_residual(h, samples, dt) > 100 * max(smooth, 1e-6)
 
     def test_too_few_points(self, rng):
-        h = hamiltonian(random_hermitian(rng, 2))
+        h = HamiltonianOp(random_hermitian(rng, 2))
         with pytest.raises(InsufficientPoints):
-            motion_residual(h, [(0.0, max_iop(2)), (0.1, max_iop(2))])
+            motion_residual(h, [max_iop(2)] * 2, 0.1)
 
-    @pytest.mark.parametrize("times, match", [
-        ((0.0, 0.1, 0.1), "strictly increasing"),
-        ((0.0, 0.2, 0.1), "strictly increasing"),
-        ((0.0, 0.1, 0.3), "uniformly spaced"),
-    ], ids=["repeated", "decreasing", "uneven"])
-    def test_bad_times_are_typed(self, times, match):
-        h = hamiltonian(np.diag([1.0, 2.0]))
-        with pytest.raises(BadParameter, match=match):
-            motion_residual(h, [(t, max_iop(2)) for t in times])
+    @pytest.mark.parametrize("dt", [0.0, -0.1, math.inf, math.nan],
+                             ids=["zero", "negative", "inf", "nan"])
+    def test_bad_step_is_typed(self, dt):
+        h = HamiltonianOp(np.diag([1.0, 2.0]))
+        with pytest.raises(BadParameter, match="positive and finite"):
+            motion_residual(h, [max_iop(2)] * 3, dt)
 
 
 class TestUnitaryCheck:
@@ -147,7 +138,7 @@ class TestUnitaryCheck:
         # unit columns at 45 degrees: U rho U^dag keeps trace and positivity
         # for rho = I/2, so only the isometry check can reject it
         s = 1 / math.sqrt(2)
-        u = UnitaryOp(dim=2, matrix=np.array([[1.0, s], [0.0, s]], dtype=complex))
+        u = UnitaryOp(matrix=np.array([[1.0, s], [0.0, s]], dtype=complex))
         with pytest.raises(NotUnitary, match="isometry defect"):
             evolve(max_iop(2), u)
 
@@ -159,7 +150,7 @@ class TestUnitaryCheck:
         # a write to the caller's array after the check leaves the checked
         # operator, and the defect it carries, as they were
         u = np.eye(3, dtype=complex)
-        ops = (unitary(u), UnitaryOp(dim=3, matrix=u), HamiltonianOp(dim=3, matrix=u))
+        ops = (unitary(u), UnitaryOp(matrix=u), HamiltonianOp(u))
         assert all(not op.matrix.flags.writeable for op in ops)
         assert u.flags.writeable
         u[0, 0] = 5
@@ -255,7 +246,7 @@ def _unitary_from(source, rng, d, t):
     if source == "haar":
         return random_unitary(rng, d)
     if source == "propagator":
-        return propagator(hamiltonian(random_hermitian(rng, d)), 0.0, t)
+        return propagator(HamiltonianOp(random_hermitian(rng, d)), 0.0, t)
     return _ring_propagator(d - 1, t)
 
 
@@ -320,7 +311,7 @@ def test_only_proven_bounds_are_carried(rng):
     assert validate(np.eye(2) / 2).isometry_defect is None
     assert pure_iop([1, 0]).isometry_defect is None
     assert max_iop(2).isometry_defect == 0.0
-    assert UnitaryOp(dim=2, matrix=np.eye(2, dtype=complex)).defect is None
+    assert UnitaryOp(matrix=np.eye(2, dtype=complex)).defect is None
     rho = evolve(random_iop(rng, 3), random_unitary(rng, 3))
     assert rho.isometry_defect >= linalg.unitarity_defect(rho.spectrum.eigenvectors)
 
@@ -435,7 +426,7 @@ class TestBlockwiseEvolve:
         moved = dataclasses.replace(u, matrix=random_unitary(rng, 128).matrix)
         assert moved.blocks is None and moved.defect is None
         with pytest.raises(TypeError):
-            UnitaryOp(dim=128, matrix=u.matrix, blocks=u.blocks)
+            UnitaryOp(matrix=u.matrix, blocks=u.blocks)
 
     @pytest.mark.parametrize("thin, step", [(False, 1), (True, 2)],
                              ids=["max-iop", "pair"])
@@ -467,10 +458,10 @@ class TestBlockwiseEvolve:
                     return n, type(exc)
             return None
 
-        blockwise = UnitaryOp(dim=32, matrix=bad)
+        blockwise = UnitaryOp(matrix=bad)
         found = linalg.paying_groups(good.matrix)
         object.__setattr__(blockwise, "blocks", linalg.frozen(
             np.stack([bad[np.ix_(g, g)] for g in found])))
         assert len(found) == 4 and good.blocks is not None
-        assert failure(blockwise) == failure(UnitaryOp(dim=32, matrix=bad)) == (
+        assert failure(blockwise) == failure(UnitaryOp(matrix=bad)) == (
             step, NotUnitary)

@@ -62,8 +62,8 @@ class TestRoundTrip:
 
     def test_phase_drops_out(self):
         a = to_iop(gauge_fix([1.0, 1j]))
-        b = to_iop(InfoVector(dim=2, amplitudes=np.array([1.0, 1j]) * np.exp(0.3j)
-                              / math.sqrt(2)))
+        b = to_iop(InfoVector(amplitudes=np.array([1.0, 1j]) * np.exp(0.3j)
+                                         / math.sqrt(2)))
         assert linalg.frobenius_dist(a.matrix, b.matrix) <= 1e-12
 
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 8))

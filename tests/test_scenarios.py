@@ -406,7 +406,7 @@ def dense_ring_hamiltonian(grid_n):
     for j in range(grid_n):
         h[j, (j + 1) % grid_n] = -1.0
         h[(j + 1) % grid_n, j] = -1.0
-    return dynamics.hamiltonian(h)
+    return dynamics.HamiltonianOp(h)
 
 
 def dense_ring_propagator(grid_n, t):

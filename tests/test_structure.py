@@ -40,6 +40,8 @@ from iopsim.condensation import (
     respects_condensation,
 )
 from iopsim.dynamics import UnitaryOp, evolve
+from iopsim.errors import (BadParameter, DimensionMismatch, IopsimError,
+                           NotHermitian)
 from iopsim.iop import validate
 from iopsim.measurement import (
     MeasurementSystem,
@@ -49,7 +51,7 @@ from iopsim.measurement import (
 )
 from iopsim.scenarios import _slit_screen, two_slit
 
-from conftest import projectors, random_iop, random_unitary
+from conftest import projectors, random_hermitian, random_iop, random_unitary
 from test_iop import holds_matrix
 
 SRC = pathlib.Path(iopsim.__file__).parent
@@ -124,6 +126,64 @@ def test_library_raises_no_bare_builtin_exception():
                     and cls is not SystemExit):
                 bare.append(f"{path.name}:{node.lineno}: {cls.__name__}")
     assert bare == []
+
+
+def _two_labels(f):
+    return MeasurementSystem(dim_s=2, labels=("a", "b"),
+                             kraus=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), f=f)
+
+
+# (call, error) pairs: numpy's own exceptions escape the raise statements
+# the test above reads, so each degenerate input is called
+DEGENERATE_INPUTS = {
+    "empty-spectrum": (
+        lambda: validate(linalg.HermEigen(np.zeros(0), np.zeros((3, 0)))),
+        DimensionMismatch),
+    "empty-matrix": (lambda: validate(np.zeros((0, 0))), DimensionMismatch),
+    "max-iop-past-cap": (lambda: iop.max_iop(10 ** 6), DimensionMismatch),
+    "pure-iop-past-cap": (lambda: iop.pure_iop(np.ones(5000)), DimensionMismatch),
+    "f-lacks-a-label": (lambda: _two_labels({"a": 1.0}), BadParameter),
+    "f-value-nan": (lambda: _two_labels({"a": 1.0, "b": np.nan}), BadParameter),
+    "f-value-text": (lambda: _two_labels({"a": 1.0, "b": "up"}), BadParameter),
+    "f-value-complex": (lambda: _two_labels({"a": 1.0, "b": 1j}), BadParameter),
+    "observable-without-f": (lambda: measurement.observable(_two_labels({})),
+                             BadParameter),
+    "projective-of-nothing": (lambda: MeasurementSystem.projective({}), BadParameter),
+    "count-past-int64": (lambda: measurement.estimate_probabilities(
+        _two_labels({}), iop.max_iop(2), n=2 ** 63, seed=0), BadParameter),
+    "negative-seed": (lambda: measurement.estimate_probabilities(
+        _two_labels({}), iop.max_iop(2), n=10, seed=-1), BadParameter),
+    "unitary-wrong-size": (
+        lambda: evolve(iop.max_iop(3), UnitaryOp(matrix=np.eye(4))),
+        DimensionMismatch),
+    "unitary-not-square": (lambda: UnitaryOp(matrix=np.ones((2, 3))),
+                           DimensionMismatch),
+    "hamiltonian-not-hermitian": (
+        lambda: dynamics.HamiltonianOp(np.array([[0.0, 1.0], [0.0, 0.0]])),
+        NotHermitian),
+}
+
+
+@pytest.mark.parametrize("case", DEGENERATE_INPUTS)
+def test_degenerate_inputs_raise_typed_errors(case):
+    call, error = DEGENERATE_INPUTS[case]
+    assert issubclass(error, IopsimError)
+    with pytest.raises(error):
+        call()
+
+
+def test_propagator_checks_and_diagonalizes_once(monkeypatch):
+    # HamiltonianOp checked H when it was built: propagator diagonalizes
+    # it once and checks its hermiticity no second time
+    h = dynamics.HamiltonianOp(random_hermitian(np.random.default_rng(5), 4))
+    calls = []
+    for name in ("eigh", "hermitian"):
+        def counted(a, _name=name, _fn=getattr(linalg, name)):
+            calls.append(_name)
+            return _fn(a)
+        monkeypatch.setattr(linalg, name, counted)
+    dynamics.propagator(h, 0.0, 0.7)
+    assert calls == ["eigh"]
 
 
 def test_readme_names_every_tolerance_constant():
@@ -360,7 +420,7 @@ def test_index_partitions_run_no_eigensolver(eigensolver_shapes):
     rng = np.random.default_rng(11)
     u = np.eye(128, dtype=complex)
     u[:32, :32] = random_unitary(rng, 32).matrix  # couples blocks 0 and 1
-    u = UnitaryOp(dim=128, matrix=u)
+    u = UnitaryOp(matrix=u)
     rho = random_iop(rng, 128)
     t_structure = CondensationStructure.from_index_blocks(
         16, {m: range(4 * m, 4 * m + 4) for m in range(4)})
