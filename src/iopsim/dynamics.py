@@ -92,7 +92,7 @@ def unitary(m) -> UnitaryOp:
     of U^dag U: O(sum_g |g|^3) in place of O(d^3).  The one decision of
     how U is applied: its stacked `blocks`, when kept, serve every V.
     """
-    a = linalg.as_cmatrix(linalg.frozen(m, dtype=complex))
+    a = linalg.frozen(linalg.as_cmatrix(m))
     u = UnitaryOp(matrix=a)
     groups = linalg.paying_groups(a)
     blocks = groups and [a[np.ix_(g, g)] for g in groups]

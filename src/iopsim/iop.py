@@ -109,8 +109,8 @@ def validate(m, known_defect=None) -> InfoOperator:
     """
     defect = moduli = diagonal = None
     if isinstance(m, linalg.HermEigen):
-        w = np.asarray(m.eigenvalues, dtype=float)
-        v = np.asarray(m.eigenvectors, dtype=complex)
+        w = linalg._as_array(m.eigenvalues, float)
+        v = linalg._as_array(m.eigenvectors, complex)
         if (w.ndim != 1 or v.ndim != 2 or w.size != v.shape[1]
                 or not 1 <= w.size <= v.shape[0] <= DIM_CAP):
             raise DimensionMismatch(
@@ -178,7 +178,7 @@ def max_iop(d: int) -> InfoOperator:
 def unit_vector(psi) -> np.ndarray:
     """psi / ||psi|| for a nonzero finite psi, first scaled exactly by the
     power of two that takes its top modulus into [1/2, 1): nothing underflows."""
-    v = np.asarray(psi, dtype=complex).ravel()
+    v = linalg._as_array(psi, complex).ravel()
     if v.size > DIM_CAP:
         raise DimensionMismatch(f"dimension {v.size} exceeds cap {DIM_CAP}")
     top = float(np.abs(v).max(initial=0.0))
@@ -289,7 +289,7 @@ class Mixture:
     components: tuple
 
     def __post_init__(self):
-        ws = tuple(float(w) for w in self.weights)
+        ws = tuple(map(float, linalg._as_array(self.weights, float)))
         comps = tuple(self.components)
         if len(ws) != len(comps) or not comps:
             raise BadParameter("weights and components must be nonempty and aligned")

@@ -37,9 +37,16 @@ class HermEigen(NamedTuple):
     eigenvectors: np.ndarray  # d x r, orthonormal columns
 
 
+def _as_array(entries, dtype) -> np.ndarray:
+    try:  # what numpy cannot read as numbers is a BadParameter
+        return np.asarray(entries, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise BadParameter(f"not an array of numbers: {exc}") from exc
+
+
 def as_cmatrix(entries) -> np.ndarray:
     """Coerce to a complex 2-D array, checking finiteness and the size cap."""
-    a = np.asarray(entries, dtype=complex)
+    a = _as_array(entries, complex)
     if a.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D matrix, got shape {a.shape}")
     if max(a.shape) > DIM_CAP:

@@ -213,6 +213,22 @@ def expectation(obs: Observable, rho: InfoOperator) -> float:
     return float(value.real)
 
 
+def _sampling_inputs(n, seed, name="n") -> tuple:
+    """(n, seed) as ints, n in [1, 2**63 - 1] (the multinomial takes an
+    int64) and seed nonnegative; else BadParameter, naming the parameter."""
+    for key, value in ((name, n), ("seed", seed)):
+        if not isinstance(value, numbers.Integral):  # no float, str or None
+            raise BadParameter(f"{key} must be an integer, got {value!r}")
+    n, seed = int(n), int(seed)
+    if n < 1:
+        raise BadParameter(f"{name} must be positive, got {n}")
+    if n > np.iinfo(np.int64).max:
+        raise BadParameter(f"{name} must be at most {np.iinfo(np.int64).max}, got {n}")
+    if seed < 0:
+        raise BadParameter(f"seed must be nonnegative, got {seed}")
+    return n, seed
+
+
 def estimate_probabilities(ms: MeasurementSystem, rho: InfoOperator,
                            n: int, seed: int):
     """Empirical outcome frequencies from n independent draws.
@@ -222,10 +238,7 @@ def estimate_probabilities(ms: MeasurementSystem, rho: InfoOperator,
     """
     if not is_definitive(ms):
         raise NotDefinitive(f"completeness defect {completeness_defect(ms):.3e}")
-    if not 1 <= n <= np.iinfo(np.int64).max:  # multinomial takes an int64
-        raise BadParameter(f"sample count must be in [1, 2**63 - 1], got {n}")
-    if seed < 0:
-        raise BadParameter(f"seed must be nonnegative, got {seed}")
+    n, seed = _sampling_inputs(n, seed)
     probs = outcome_probabilities(ms, rho)
     p = np.clip(np.array([v for _, v in probs]), 0.0, None)
     p = p / p.sum()

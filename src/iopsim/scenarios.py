@@ -136,14 +136,7 @@ def stern_gerlach(p_up_prior: float = 0.5, mc_samples: int = 10000,
     """
     if not 0.0 <= p_up_prior <= 1.0:
         raise BadParameter(f"p_up_prior must be in [0, 1], got {p_up_prior}")
-    if mc_samples < 1:
-        raise BadParameter(f"mc_samples must be positive, got {mc_samples}")
-    if mc_samples > np.iinfo(np.int64).max:
-        # the multinomial draw takes its count as an int64
-        raise BadParameter(f"mc_samples must be at most "
-                           f"{np.iinfo(np.int64).max}, got {mc_samples}")
-    if seed < 0:
-        raise BadParameter(f"seed must be nonnegative, got {seed}")
+    mc_samples, seed = measurement._sampling_inputs(mc_samples, seed, "mc_samples")
     report = ScenarioReport(
         scenario_name="stern-gerlach",
         inputs={"p_up_prior": p_up_prior, "mc_samples": mc_samples, "seed": seed},

@@ -239,6 +239,27 @@ class TestErrorContract:
         # rejected up front, not as a zero-probability outcome deep inside
         (["run", "two-slit", "--grid", "16", "--slits", "3:5", "--p-pass", "1e-300"],
          None, None, "p_pass must be in (ZERO_WEIGHT_FLOOR = 1e-12, 1], got 1e-300"),
+        # a dimension is an integer and an entry a pair of numbers: no bool,
+        # fraction, string or null stands in for one
+        (["validate"], None, '[{"dim": true, "entries": [[1, 0]]}]',
+         "operator 0: malformed (ParseError)"),
+        (["validate"], None, '[{"dim": 1.9, "entries": [[1, 0]]}]',
+         "operator 0: malformed (ParseError)"),
+        (["validate"], None, '[{"dim": "1", "entries": [["1", false]]}]',
+         "operator 0: malformed (ParseError)"),
+        (["validate"], None, '[{"dim": 1, "dim_cols": true, "entries": [[1, 0]]}]',
+         "operator 0: malformed (ParseError)"),
+        (["validate"], None, '{"dim": 1, "entries": ["12"]}',
+         "operator 0: malformed (ParseError)"),
+        (["validate"], None, '[{"dim": 1, "entries": [[1, null]]}]',
+         "operator 0: malformed (ParseError)"),
+        (["validate"], None, '[{"dim": 1, "entries": [[true, 0]]}]',
+         "operator 0: malformed (ParseError)"),
+        # balanced nesting past the standard decoder's recursion limit is
+        # decoded (by orjson), so the object is malformed in place
+        (["validate"], None,
+         '[{"dim": ' + "[" * 100000 + "]" * 100000 + ', "entries": []}]',
+         "operator 0: malformed (ParseError)"),
     ], ids=["mc-samples-0", "hbar-0", "seed-env-abc", "slits-40-44",
             "grid-over-cap", "validate-nan", "mc-samples-over-int64",
             "seed-negative", "validate-float-overflow",
@@ -246,7 +267,10 @@ class TestErrorContract:
             "tol-interaction-dissolves-condensation",
             "tol-superposition-not-condensed", "tol-disjoint-support-rejected",
             "tol-interference-term", "tol-nan", "tol-inf", "cat-steps-over-max",
-            "p-pass-below-floor"])
+            "p-pass-below-floor", "validate-dim-bool", "validate-dim-fraction",
+            "validate-dim-string", "validate-dim-cols-bool", "validate-entry-string",
+            "validate-entry-null", "validate-entry-bool",
+            "validate-deep-nesting-balanced"])
     def test_exits_one_with_message(self, argv, env, text, message, tmp_path,
                                     monkeypatch, capsys):
         if env is not None:

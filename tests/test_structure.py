@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 import iopsim
-from iopsim import dynamics, iop, linalg, measurement, scenarios
+from iopsim import dynamics, iop, ivec, linalg, measurement, scenarios
 from iopsim.composite import CompositeSpec, branch_decompose
 from iopsim.condensation import (
     CondensationStructure,
@@ -161,6 +161,29 @@ DEGENERATE_INPUTS = {
     "hamiltonian-not-hermitian": (
         lambda: dynamics.HamiltonianOp(np.array([[0.0, 1.0], [0.0, 0.0]])),
         NotHermitian),
+    # what numpy cannot read as numbers
+    "matrix-text": (lambda: validate("abc"), BadParameter),
+    "matrix-ragged": (lambda: validate([[1, 0], [0]]), BadParameter),
+    "spectrum-text": (lambda: validate(linalg.HermEigen("a", [[1]])), BadParameter),
+    "eigenvectors-ragged": (
+        lambda: validate(linalg.HermEigen([1.0], [[1, 0], [0]])), BadParameter),
+    "pure-iop-text": (lambda: iop.pure_iop("ab"), BadParameter),
+    "gauge-fix-text": (lambda: ivec.gauge_fix("ab"), BadParameter),
+    "unitary-text": (lambda: dynamics.unitary("ab"), BadParameter),
+    "unitary-ragged": (lambda: dynamics.unitary([[1], [0, 1]]), BadParameter),
+    "hamiltonian-text": (lambda: dynamics.HamiltonianOp("ab"), BadParameter),
+    "mixture-weight-text": (
+        lambda: iop.Mixture(weights=("a",), components=(iop.max_iop(2),)),
+        BadParameter),
+    # sample counts and seeds are integers, not floats that round down
+    "count-fractional": (lambda: measurement.estimate_probabilities(
+        _two_labels({}), iop.max_iop(2), n=2.5, seed=0), BadParameter),
+    "seed-fractional": (lambda: measurement.estimate_probabilities(
+        _two_labels({}), iop.max_iop(2), n=10, seed=1.5), BadParameter),
+    "mc-samples-fractional": (lambda: scenarios.stern_gerlach(mc_samples=2.5),
+                              BadParameter),
+    "stern-gerlach-seed-fractional": (lambda: scenarios.stern_gerlach(seed=1.5),
+                                      BadParameter),
 }
 
 
@@ -512,13 +535,32 @@ def test_evolve_chain_checks_the_isometry_at_most_once(monkeypatch):
 
 
 def test_cli_import_loads_no_scipy():
+    # nor orjson: only `serialize.loads` imports it, when it decodes
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    code = ("import sys, iopsim.cli, iopsim.scenarios; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = ("import sys, iopsim.cli, iopsim.scenarios; print(sorted(m for m in "
+            "sys.modules if m.split('.')[0] in ('scipy', 'orjson')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_json_is_decoded_in_serialize_only():
+    # the one decision of which decoder reads a text: `json.loads` and
+    # any use of orjson appear in serialize.py and nowhere else
+    users = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom)
+                     else [node.id] if isinstance(node, ast.Name) else [])
+            loads = (isinstance(node, ast.Attribute) and node.attr == "loads"
+                     and getattr(node.value, "id", None) == "json")
+            if loads or any(n.split(".")[0] == "orjson" for n in names) or (
+                    isinstance(node, ast.ImportFrom) and node.module == "json"
+                    and "loads" in {a.name for a in node.names}):
+                users.add(path.name)
+    assert users == {"serialize.py"}
 
 
 REPO = SRC.parent.parent
